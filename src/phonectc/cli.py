@@ -11,10 +11,8 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import fields as dataclass_fields
-from pathlib import Path
 
 import click
-import numpy as np
 import yaml
 
 
@@ -254,12 +252,6 @@ def graph_build(inventory_path, bpe_path, lexicon_path, arpa_path, out):
 # world / training / decoding
 
 
-def _load_world(path):
-    from .world import load_world
-
-    return load_world(path)
-
-
 @main.group()
 def world():
     """Synthetic world commands."""
@@ -291,15 +283,6 @@ def world_gen(out, seed, config_path):
     click.echo(f"world written to {out}")
 
 
-def _pipeline(world_dir, beam, acoustic_scale, lm_order, encoder_cfg=None):
-    from .experiment import Pipeline
-
-    return Pipeline(
-        _load_world(world_dir), encoder=encoder_cfg, lm_order=lm_order,
-        beam=beam, acoustic_scale=acoustic_scale,
-    )
-
-
 @main.command()
 @click.option("--world", "world_dir", required=True)
 @click.option("--language", default="all-seen", show_default=True,
@@ -311,9 +294,11 @@ def _pipeline(world_dir, beam, acoustic_scale, lm_order, encoder_cfg=None):
 @click.option("-o", "--out", required=True, help="Output checkpoint.")
 def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
     """Train an acoustic model on a world language (or all seen languages)."""
+    from .experiment import Pipeline
     from .model import save_checkpoint
+    from .world import load_world
 
-    pipe = _pipeline(world_dir, 16, 1.0, 2)
+    pipe = Pipeline(load_world(world_dir))
     if language == "all-seen":
         if supervision == "phoneme":
             ckpt, history = pipe.train_multilingual_phoneme(seed)
@@ -346,9 +331,11 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
 @click.option("-o", "--out", required=True, help="Output checkpoint.")
 def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     """Finetune a pretrained model on a target language with embedding transfer."""
+    from .experiment import Pipeline
     from .model import load_checkpoint, save_checkpoint
+    from .world import load_world
 
-    pipe = _pipeline(world_dir, 16, 1.0, 2)
+    pipe = Pipeline(load_world(world_dir))
     base = load_checkpoint(pretrained_path)
     n = utterances or None
     ckpt, history = pipe.finetune(base, language, seed, n_utts=n, mode=mode)
@@ -460,6 +447,7 @@ def experiment():
 def experiment_run(world_dir, config_path, out):
     """Run one experiment config against a world."""
     from .experiment import ExperimentConfig, run_experiment
+    from .world import load_world
 
     with open(config_path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
@@ -474,7 +462,7 @@ def experiment_run(world_dir, config_path, out):
         config = ExperimentConfig(**raw)
     except (TypeError, ValueError) as err:
         raise click.UsageError(str(err))
-    report = run_experiment(_load_world(world_dir), config)
+    report = run_experiment(load_world(world_dir), config)
     click.echo(json.dumps(report, ensure_ascii=False, sort_keys=True))
 
 

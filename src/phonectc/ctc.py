@@ -45,17 +45,23 @@ class PosteriorGrid:
         return self.log_probs.shape[1]
 
 
+def min_frames(labels):
+    """Fewest frames that align ``labels``: one per label, plus a blank
+    between each pair of equal neighbours."""
+    return len(labels) + sum(1 for a, b in zip(labels, labels[1:]) if a == b)
+
+
 def _check_labels(grid, labels):
     labels = list(labels)
     if any(k == BLANK_ID for k in labels):
         raise ValueError("labels must not contain the blank index")
     if any(not 0 < k < grid.num_labels for k in labels):
         raise IndexError("label index outside the alphabet")
-    repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
-    if grid.num_frames < len(labels) + repeats:
+    need = min_frames(labels)
+    if grid.num_frames < need:
         raise InfeasibleAlignmentError(
-            f"{len(labels)} labels (+{repeats} repeats) need more than "
-            f"{grid.num_frames} frames"
+            f"{len(labels)} labels (+{need - len(labels)} repeats) need more "
+            f"than {grid.num_frames} frames"
         )
     return labels
 
@@ -90,36 +96,20 @@ def _forward(lp, states):
 
 
 def _backward(lp, states):
-    T = lp.shape[0]
-    S = len(states)
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = lp[T - 1, states[S - 1]]
-    if S > 1:
-        beta[T - 1, S - 2] = lp[T - 1, states[S - 2]]
-    skip_ok = np.zeros(S, dtype=bool)
-    for s in range(S - 2):
-        skip_ok[s] = states[s] != BLANK_ID and states[s] != states[s + 2]
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        diag = np.concatenate((nxt[1:], [NEG_INF]))
-        skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))[:S]
-        skip = np.where(skip_ok, skip, NEG_INF)
-        beta[t] = np.logaddexp(np.logaddexp(stay, diag), skip) + lp[t, states]
-    return beta
+    # beta is alpha of the time- and state-reversed lattice, reversed back
+    return _forward(lp[::-1], states[::-1])[::-1, ::-1]
+
+
+def _log_marginal(alpha):
+    # an alignment ends in the last label or in the final blank
+    last = alpha[-1]
+    return np.logaddexp(last[-1], last[-2]) if len(last) > 1 else last[-1]
 
 
 def ctc_loss(grid, labels):
     """Negative log-likelihood of the blank-free label sequence."""
     labels = _check_labels(grid, labels)
-    lp = grid.log_probs
-    states = _interleave(labels)
-    alpha = _forward(lp, states)
-    S = len(states)
-    tail = alpha[-1, S - 1]
-    if S > 1:
-        tail = np.logaddexp(tail, alpha[-1, S - 2])
-    return float(-tail)
+    return float(-_log_marginal(_forward(grid.log_probs, _interleave(labels))))
 
 
 def ctc_grad(grid, labels):
@@ -134,10 +124,7 @@ def ctc_grad(grid, labels):
     states = _interleave(labels)
     alpha = _forward(lp, states)
     beta = _backward(lp, states)
-    S = len(states)
-    log_z = alpha[-1, S - 1]
-    if S > 1:
-        log_z = np.logaddexp(log_z, alpha[-1, S - 2])
+    log_z = _log_marginal(alpha)
     # alpha and beta both include the frame-t emission; divide it out once
     log_gamma = alpha + beta - lp[:, states] - log_z
     occupancy = np.zeros((T, V1))

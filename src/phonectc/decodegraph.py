@@ -31,7 +31,7 @@ def build_ctc_topology(alphabet):
     units = alphabet.non_blank_units()
     table_in = SymbolTable([BLANK] + list(units))
     table_out = SymbolTable(list(units))
-    t = Fst(semiring="tropical", isyms=table_in, osyms=table_out)
+    t = Fst(isyms=table_in, osyms=table_out)
     start = t.add_state()
     t.set_final(start, 0.0)
     state_of = {}
@@ -86,7 +86,7 @@ def build_lexicon_fst(prolex):
     if not prolex.entries:
         raise ValueError("empty lexicon")
     assignment = assign_disambiguation(prolex)
-    l = Fst(semiring="tropical")
+    l = Fst()
     loop = l.add_state()
     l.set_final(loop, 0.0)
     for word in sorted(prolex.entries):

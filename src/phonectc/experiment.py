@@ -14,20 +14,23 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .bpe import BpeModel, LanguageStats, sample_corpus, train_bpe
+from .bpe import LanguageStats, sample_corpus, train_bpe
 from .ctc import prefix_beam_search
 from .decodegraph import DecodeFailureError, build_decode_graph, decode
-from .inventory import Alphabet, build_union_alphabet, make_alphabet
+from .inventory import build_union_alphabet, make_alphabet
 from .metrics import corpus_rate, ward
 from .model import (
     EncoderConfig,
     TrainSchedule,
     forward,
     init_checkpoint,
+    load_checkpoint,
+    save_checkpoint,
     train,
     transfer_init,
 )
@@ -123,35 +126,39 @@ class Pipeline:
             out.append((feats, alphabet.encode(pieces)))
         return out[:limit] if limit else out
 
+    def _corpora(self, codes, supervision="phoneme", bpe=None, alphabet=None,
+                 limit=None):
+        """(alphabet, train corpus, dev corpus) pooled over ``codes``. The
+        alphabet defaults to their union phoneme inventory, or under subword
+        supervision to the BPE vocabulary."""
+        if supervision == "phoneme":
+            if alphabet is None:
+                alphabet = self.phoneme_alphabet(codes)
+            corpus = partial(self.phoneme_corpus, alphabet=alphabet)
+        else:
+            if alphabet is None:
+                alphabet = bpe.vocab
+            corpus = partial(self.subword_corpus, bpe=bpe, alphabet=alphabet)
+        train_set = [u for c in codes for u in corpus(c, "train", limit=limit)]
+        dev_set = [u for c in codes for u in corpus(c, "dev")]
+        return alphabet, train_set, dev_set
+
     # ------------------------------------------------------------------
     # training
 
-    def train_monolingual(self, code, seed, supervision="phoneme", bpe=None,
-                          limit=None, alphabet=None, **sched):
-        if supervision == "phoneme":
-            if alphabet is None:
-                alphabet = self.phoneme_alphabet([code])
-            corpus = self.phoneme_corpus(code, "train", alphabet, limit)
-            val = self.phoneme_corpus(code, "dev", alphabet)
-        else:
-            alphabet = alphabet if alphabet is not None else bpe.vocab
-            corpus = self.subword_corpus(code, "train", bpe, alphabet, limit)
-            val = self.subword_corpus(code, "dev", bpe, alphabet)
-        schedule = make_schedule(len(corpus), **sched)
+    def _train_new(self, seed, alphabet, corpus, val, sched):
         ckpt = init_checkpoint(self.encoder_config, alphabet, seed=seed)
+        schedule = make_schedule(len(corpus), **sched)
         return train(ckpt, corpus, schedule, seed, val_corpus=val)
 
+    def train_monolingual(self, code, seed, supervision="phoneme", bpe=None,
+                          limit=None, alphabet=None, **sched):
+        return self._train_new(
+            seed, *self._corpora([code], supervision, bpe, alphabet, limit), sched
+        )
+
     def train_multilingual_phoneme(self, seed, **sched):
-        codes = self.world.seen_codes
-        alphabet = self.phoneme_alphabet(codes)
-        corpus = []
-        val = []
-        for c in codes:
-            corpus.extend(self.phoneme_corpus(c, "train", alphabet))
-            val.extend(self.phoneme_corpus(c, "dev", alphabet))
-        schedule = make_schedule(len(corpus), **sched)
-        ckpt = init_checkpoint(self.encoder_config, alphabet, seed=seed)
-        return train(ckpt, corpus, schedule, seed, val_corpus=val)
+        return self._train_new(seed, *self._corpora(self.world.seen_codes), sched)
 
     def train_bpe_model(self, seed, vocab_size, beta=0.5):
         codes = self.world.seen_codes
@@ -171,29 +178,17 @@ class Pipeline:
 
     def train_multilingual_subword(self, seed, vocab_size, **sched):
         bpe = self.train_bpe_model(seed, vocab_size)
-        alphabet = bpe.vocab
-        corpus = []
-        val = []
-        for c in self.world.seen_codes:
-            corpus.extend(self.subword_corpus(c, "train", bpe, alphabet))
-            val.extend(self.subword_corpus(c, "dev", bpe, alphabet))
-        schedule = make_schedule(len(corpus), **sched)
-        ckpt = init_checkpoint(self.encoder_config, alphabet, seed=seed)
-        final, history = train(ckpt, corpus, schedule, seed, val_corpus=val)
+        final, history = self._train_new(
+            seed, *self._corpora(self.world.seen_codes, "subword", bpe), sched
+        )
         return final, history, bpe
 
     def finetune(self, pretrained, code, seed, n_utts=None, mode="copy_shared",
                  supervision="phoneme", bpe=None, alphabet=None, **sched):
         """Transfer-init (or reuse) and finetune on a target language."""
-        if supervision == "phoneme":
-            if alphabet is None:
-                alphabet = self.phoneme_alphabet([code])
-            corpus = self.phoneme_corpus(code, "train", alphabet, n_utts)
-            val = self.phoneme_corpus(code, "dev", alphabet)
-        else:
-            alphabet = alphabet if alphabet is not None else bpe.vocab
-            corpus = self.subword_corpus(code, "train", bpe, alphabet, n_utts)
-            val = self.subword_corpus(code, "dev", bpe, alphabet)
+        alphabet, corpus, val = self._corpora(
+            [code], supervision, bpe, alphabet, n_utts
+        )
         ckpt = transfer_init(pretrained, alphabet, mode, seed)
         schedule = make_schedule(len(corpus), **sched)
         return train(ckpt, corpus, schedule, seed, val_corpus=val)
@@ -326,7 +321,7 @@ def run_experiment(world, config):
         for code in world.seen_codes:
             _eval_and_record(pipe, final, code, "full", config, record,
                              history if code == world.seen_codes[0] else None)
-        _save_ckpt(final, out_dir / "multilingual_phoneme.ckpt")
+        save_checkpoint(final, out_dir / "multilingual_phoneme.ckpt")
     elif config.mode == "multilingual_subword":
         final, history, bpe = pipe.train_multilingual_subword(
             config.seed, config.bpe_vocab_size, **sched
@@ -339,7 +334,7 @@ def run_experiment(world, config):
             if fails:
                 record(code, "full", "test", "decode_failures", fails)
         histories.append((world.seen_codes[0], "full", history))
-        _save_ckpt(final, out_dir / "multilingual_subword.ckpt")
+        save_checkpoint(final, out_dir / "multilingual_subword.ckpt")
         bpe.save(out_dir / "bpe.model")
     else:  # crosslingual_ft
         code = config.ft_language or world.unseen_codes[0]
@@ -347,8 +342,6 @@ def run_experiment(world, config):
         base = None
         bpe = None
         if config.init_mode != "scratch":
-            from .model import load_checkpoint
-
             base = load_checkpoint(config.pretrained_path)
         if config.supervision == "subword":
             bpe = pipe.train_bpe_model(config.seed, config.bpe_vocab_size)
@@ -356,8 +349,6 @@ def run_experiment(world, config):
         if (config.supervision == "phoneme" and config.forgetting_eval
                 and base is not None):
             # union alphabet keeps the seen languages decodable after FT
-            from .inventory import make_alphabet
-
             units = set(base.alphabet.units[1:]) | set(
                 world.languages[code].inventory.units
             )
@@ -402,12 +393,6 @@ def _eval_and_record(pipe, ckpt, code, scale, config, record, history,
         record(code, scale, split, "wer", wer_val, history if split == "dev" else None)
         if fails:
             record(code, scale, split, "decode_failures", fails)
-
-
-def _save_ckpt(ckpt, path):
-    from .model import save_checkpoint
-
-    save_checkpoint(ckpt, path)
 
 
 def _write_outputs(out_dir, rows, histories, report):

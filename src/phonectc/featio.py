@@ -2,7 +2,8 @@
 
 Single matrix: magic ``FEAT``, uint32 T, uint32 dim, row-major little-endian
 float32 data. World split files pack many utterances: magic ``FTS0``, uint32
-count, then ``count`` single-matrix records without their magic.
+count, then ``count`` single-matrix records without their magic. Readers
+reject a file that ends early or carries bytes past its last record.
 """
 
 from __future__ import annotations
@@ -15,6 +16,38 @@ FEAT_MAGIC = b"FEAT"
 SET_MAGIC = b"FTS0"
 
 
+class BinaryReader:
+    """Reads one binary file front to back in exact lengths: a read past the
+    end, or bytes left over at ``expect_end``, raises ValueError naming the
+    file and the byte offset."""
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.data = fh.read()
+        self.pos = 0
+
+    def read(self, n):
+        end = self.pos + n
+        if end > len(self.data):
+            raise ValueError(
+                f"{self.path}: truncated: {n} bytes wanted at byte {self.pos} "
+                f"of {len(self.data)}"
+            )
+        self.pos = end
+        return self.data[end - n : end]
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def expect_end(self):
+        if self.pos != len(self.data):
+            raise ValueError(
+                f"{self.path}: {len(self.data) - self.pos} trailing bytes after "
+                f"byte {self.pos}"
+            )
+
+
 def write_feature_matrix(path, feats):
     feats = np.ascontiguousarray(feats, dtype="<f4")
     with open(path, "wb") as fh:
@@ -23,13 +56,19 @@ def write_feature_matrix(path, feats):
         fh.write(feats.tobytes())
 
 
-def read_feature_matrix(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != FEAT_MAGIC:
-            raise ValueError(f"{path}: not a feature file")
-        t, dim = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(4 * t * dim), dtype="<f4")
+def _read_record(reader):
+    t, dim = reader.unpack("<II")
+    data = np.frombuffer(reader.read(4 * t * dim), dtype="<f4")
     return data.reshape(t, dim).astype(np.float64)
+
+
+def read_feature_matrix(path):
+    reader = BinaryReader(path)
+    if reader.read(4) != FEAT_MAGIC:
+        raise ValueError(f"{path}: not a feature file")
+    feats = _read_record(reader)
+    reader.expect_end()
+    return feats
 
 
 def write_feature_set(path, matrices):
@@ -43,13 +82,10 @@ def write_feature_set(path, matrices):
 
 
 def read_feature_set(path):
-    out = []
-    with open(path, "rb") as fh:
-        if fh.read(4) != SET_MAGIC:
-            raise ValueError(f"{path}: not a feature set file")
-        (count,) = struct.unpack("<I", fh.read(4))
-        for _ in range(count):
-            t, dim = struct.unpack("<II", fh.read(8))
-            data = np.frombuffer(fh.read(4 * t * dim), dtype="<f4")
-            out.append(data.reshape(t, dim).astype(np.float64))
+    reader = BinaryReader(path)
+    if reader.read(4) != SET_MAGIC:
+        raise ValueError(f"{path}: not a feature set file")
+    (count,) = reader.unpack("<I")
+    out = [_read_record(reader) for _ in range(count)]
+    reader.expect_end()
     return out

@@ -1,10 +1,10 @@
 """Weighted finite-state transducer core.
 
-Minimal mutable FST over the tropical or log semiring, with epsilon-filtered
-composition, shortest-distance, n-best string extraction, and a line-based
-text serialization. Arcs are plain tuples ``(ilabel, olabel, weight, dst)``
-for speed; labels are integer ids into per-side symbol tables with epsilon
-fixed at id 0.
+Minimal mutable FST with tropical weights only (min, +), with
+epsilon-filtered composition, shortest-distance, n-best string extraction,
+and a line-based text serialization. Arcs are plain tuples
+``(ilabel, olabel, weight, dst)`` for speed; labels are integer ids into
+per-side symbol tables with epsilon fixed at id 0.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-
-import numpy as np
 
 EPS = "<eps>"
 INF = float("inf")
@@ -57,24 +55,10 @@ class SymbolTable:
         return list(self._id2sym)
 
 
-def semiring_plus(semiring, a, b):
-    if semiring == "tropical":
-        return min(a, b)
-    # log semiring: weights are -log probabilities
-    if a == INF:
-        return b
-    if b == INF:
-        return a
-    return -np.logaddexp(-a, -b)
-
-
 class Fst:
     """Weighted transducer; state 0 is the start state by convention."""
 
-    def __init__(self, semiring="tropical", isyms=None, osyms=None):
-        if semiring not in ("tropical", "log"):
-            raise FstError(f"unknown semiring: {semiring!r}")
-        self.semiring = semiring
+    def __init__(self, isyms=None, osyms=None):
         self.isyms = isyms if isyms is not None else SymbolTable()
         self.osyms = osyms if osyms is not None else SymbolTable()
         self.arcs = []  # arcs[state] = list of (ilabel, olabel, weight, dst)
@@ -147,7 +131,7 @@ class Fst:
         queue = deque()
         inq = [False] * n
         for s, w in sources:
-            dist[s] = semiring_plus(self.semiring, dist[s], w)
+            dist[s] = min(dist[s], w)
             queue.append(s)
             inq[s] = True
         while queue:
@@ -155,7 +139,7 @@ class Fst:
             inq[s] = False
             d = dist[s]
             for il, ol, w, dst in out[s]:
-                nd = semiring_plus(self.semiring, dist[dst], d + w)
+                nd = min(dist[dst], d + w)
                 if nd < dist[dst] - 1e-15:
                     dist[dst] = nd
                     if not inq[dst]:
@@ -164,15 +148,13 @@ class Fst:
         return dist
 
     def nbest_strings(self, n, max_pops=2_000_000):
-        """Up to ``n`` distinct lowest-weight output strings (tropical).
+        """Up to ``n`` distinct lowest-weight output strings.
 
         Returns ``[(output symbols tuple, weight)]`` sorted by weight with a
         lexicographic tie-break. Uses best-first search guided by the exact
         backward distance, so loops that cannot reach a final state are never
         expanded.
         """
-        if self.semiring != "tropical":
-            raise FstError("nbest_strings requires the tropical semiring")
         if self.start is None:
             return []
         heur = self.shortest_distance(reverse=True)
@@ -232,8 +214,8 @@ class Fst:
                 fh.write(f"{state}\t{self.finals[state]!r}\n")
 
     @classmethod
-    def read_text(cls, path, semiring="tropical"):
-        fst = cls(semiring=semiring)
+    def read_text(cls, path):
+        fst = cls()
         entries = []
         max_state = -1
         with open(path, encoding="utf-8") as fh:
@@ -265,11 +247,10 @@ class Fst:
         return fst.validate()
 
 
-def make_string_acceptor(symbols, table=None, semiring="tropical"):
+def make_string_acceptor(symbols, table=None):
     """Linear acceptor for one symbol sequence."""
-    fst = Fst(semiring=semiring, isyms=table, osyms=table)
-    if fst.isyms is not fst.osyms and table is None:
-        fst.osyms = fst.isyms
+    table = table if table is not None else SymbolTable()
+    fst = Fst(isyms=table, osyms=table)
     prev = fst.add_state()
     for sym in symbols:
         nxt = fst.add_state()
@@ -282,9 +263,7 @@ def make_string_acceptor(symbols, table=None, semiring="tropical"):
 def compose(a, b):
     """Epsilon-filtered composition; output table of ``a`` must cover ``b``'s
     input symbols by name (and vice versa for shared labels)."""
-    if a.semiring != b.semiring:
-        raise FstError("semiring mismatch in composition")
-    out = Fst(semiring=a.semiring, isyms=a.isyms, osyms=b.osyms)
+    out = Fst(isyms=a.isyms, osyms=b.osyms)
     # map a's output ids to b's input ids by symbol name
     amap = {}
     for ol in range(len(a.osyms)):

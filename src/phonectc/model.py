@@ -17,7 +17,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .ctc import PosteriorGrid, ctc_grad, ctc_loss, InfeasibleAlignmentError
+from .ctc import (InfeasibleAlignmentError, PosteriorGrid, ctc_grad, ctc_loss,
+                  min_frames)
+from .featio import BinaryReader
 from .inventory import Alphabet
 
 MAGIC = b"PCTC"
@@ -132,11 +134,11 @@ def _conv_forward(x, w, b, stride):
     idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
     win = xp[idx]  # (t_out, K, input_dim)
     out = np.einsum("tki,dik->td", win, w) + b
-    return out, (xp, idx, t_in)
+    return out, (xp, idx)
 
 
-def _conv_backward(dout, w, cache, x_shape):
-    xp, idx, t_in = cache
+def _conv_backward(dout, cache):
+    xp, idx = cache
     dw = np.einsum("td,tki->dik", dout, xp[idx])
     db = dout.sum(axis=0)
     return dw, db
@@ -207,7 +209,6 @@ def forward(ckpt, features):
 
 def _loss_and_grads(ckpt, x, labels, loss_norm, dropout_rng=None):
     """Length-normalized CTC loss and parameter gradients for one utterance."""
-    cfg = ckpt.config
     p = ckpt.params
     h, caches = _encode(ckpt, x, dropout_rng=dropout_rng)
     logits = h @ p["out.w"].T
@@ -234,7 +235,7 @@ def _loss_and_grads(ckpt, x, labels, loss_norm, dropout_rng=None):
         grads[f"{name}.b1"] = da.sum(axis=0)
         dh = dres + da @ p[f"{name}.w1"]
     dconv = dh
-    dw, db = _conv_backward(dconv, p["conv.w"], caches[0][1], x.shape)
+    dw, db = _conv_backward(dconv, caches[0][1])
     grads["conv.w"] = dw
     grads["conv.b"] = db
     return loss, grads
@@ -279,8 +280,7 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     for x, labels in corpus:
         x = np.asarray(x, dtype=np.float64)
         t_out = subsampled_length(x.shape[0], cfg.subsample_stride)
-        repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
-        if t_out < len(labels) + repeats:
+        if t_out < min_frames(labels):
             skipped += 1
             continue
         usable.append((x, list(labels)))
@@ -437,24 +437,25 @@ def save_checkpoint(ckpt, path):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        (ntensors,) = struct.unpack("<I", fh.read(4))
-        params = {}
-        for _ in range(ntensors):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-            count = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-            params[name] = data.reshape(dims).astype(np.float64)
+    reader = BinaryReader(path)
+    if reader.read(4) != MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    (version,) = reader.unpack("<I")
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    (hlen,) = reader.unpack("<I")
+    header = json.loads(reader.read(hlen).decode("utf-8"))
+    (ntensors,) = reader.unpack("<I")
+    params = {}
+    for _ in range(ntensors):
+        (nlen,) = reader.unpack("<I")
+        name = reader.read(nlen).decode("utf-8")
+        (rank,) = reader.unpack("<I")
+        dims = reader.unpack(f"<{rank}I")
+        count = int(np.prod(dims)) if dims else 1
+        data = np.frombuffer(reader.read(8 * count), dtype="<f8")
+        params[name] = data.reshape(dims).astype(np.float64)
+    reader.expect_end()
     alphabet = Alphabet(
         units=tuple(header["alphabet"]["units"]), kind=header["alphabet"]["kind"]
     )

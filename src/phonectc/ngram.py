@@ -44,21 +44,7 @@ class NGramModel:
         """Backoff log10 probability of ``word`` after ``context``."""
         word = self._map(word)
         context = tuple(self._map(w) for w in context)[-(self.order - 1) :]
-        return self._score(context, word)
-
-    def _score(self, context, word):
-        ngram = context + (word,)
-        hit = self.entries.get(ngram)
-        if hit is not None:
-            return hit[0]
-        if not context:
-            # unigram miss can only happen for symbols outside the model
-            return LOG10_MIN
-        bow = 0.0
-        ctx_entry = self.entries.get(context)
-        if ctx_entry is not None and ctx_entry[1] is not None:
-            bow = ctx_entry[1]
-        return bow + self._score(context[1:], word)
+        return _score(self.entries, context, word)
 
     def sentence_logprob(self, words):
         """log10 probability of the sentence including the end token."""
@@ -66,7 +52,7 @@ class NGramModel:
         context = (BOS,)
         total = 0.0
         for w in tokens:
-            total += self._score(context[-(self.order - 1) :], w)
+            total += _score(self.entries, context[-(self.order - 1) :], w)
             context = context + (w,)
         return total
 
@@ -77,7 +63,7 @@ class NGramModel:
         for w in self.vocabulary:
             if w == BOS:
                 continue
-            out[w] = 10.0 ** self._score(context, w)
+            out[w] = 10.0 ** _score(self.entries, context, w)
         return out
 
     # ------------------------------------------------------------------
@@ -184,7 +170,7 @@ def train_ngram(sentences, order=DEFAULT_ORDER, include_boundaries=True,
             probs = {w: c / denom for w, c in conts}
             mass = t_h / denom
             covered = sum(
-                10.0 ** _score_entries(entries, ctx[1:], w) for w in probs
+                10.0 ** _score(entries, ctx[1:], w) for w in probs
             )
             residual = 1.0 - covered
             if residual <= 1e-12:
@@ -203,18 +189,19 @@ def train_ngram(sentences, order=DEFAULT_ORDER, include_boundaries=True,
     return NGramModel(order=order, entries=entries, vocabulary=frozenset(vocab))
 
 
-def _score_entries(entries, context, word):
-    ngram = tuple(context) + (word,)
-    hit = entries.get(ngram)
+def _score(entries, context, word):
+    """Backoff log10 probability of ``word`` after the tuple ``context``."""
+    hit = entries.get(context + (word,))
     if hit is not None:
         return hit[0]
     if not context:
+        # unigram miss can only happen for symbols outside the model
         return LOG10_MIN
     bow = 0.0
-    ctx = tuple(context)
-    if ctx in entries and entries[ctx][1] is not None:
-        bow = entries[ctx][1]
-    return bow + _score_entries(entries, context[1:], word)
+    ctx_entry = entries.get(context)
+    if ctx_entry is not None and ctx_entry[1] is not None:
+        bow = ctx_entry[1]
+    return bow + _score(entries, context[1:], word)
 
 
 LN10 = math.log(10.0)
@@ -223,7 +210,7 @@ LN10 = math.log(10.0)
 def ngram_to_fst(model):
     """Standard backoff acceptor over words (tropical, -ln weights)."""
     table = SymbolTable(sorted(model.vocabulary | {BOS}))
-    g = Fst(semiring="tropical", isyms=table, osyms=table)
+    g = Fst(isyms=table, osyms=table)
     # context states: every entry of length < order, plus the empty context
     contexts = {()}
     for ngram in model.entries:
@@ -269,7 +256,7 @@ def _swap_start(g, start_state):
     perm = list(range(g.num_states))
     perm[0], perm[start_state] = perm[start_state], perm[0]
     inv = {old: new for new, old in enumerate(perm)}
-    out = Fst(semiring=g.semiring, isyms=g.isyms, osyms=g.osyms)
+    out = Fst(isyms=g.isyms, osyms=g.osyms)
     for _ in range(g.num_states):
         out.add_state()
     for src, arcs in enumerate(g.arcs):

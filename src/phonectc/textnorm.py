@@ -13,7 +13,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-from .fst import Fst, compose, make_string_acceptor
+from .fst import compose, make_string_acceptor
 
 
 class LexiconError(ValueError):
@@ -117,7 +117,7 @@ class Prolex:
         return lex
 
 
-def apply_g2p(g2p, word, nbest=1, strip_marks=frozenset()):
+def apply_g2p(g2p, word, nbest=1):
     """Lowest-weight phoneme sequences for a word via the G2P transducer.
 
     The word is split into characters, composed with the transducer, and the
@@ -131,22 +131,17 @@ def apply_g2p(g2p, word, nbest=1, strip_marks=frozenset()):
         if ch not in g2p.isyms:
             return []
     acc = make_string_acceptor(list(word), table=g2p.isyms)
-    composed = compose(acc, g2p)
-    results = []
-    for ostr, w in composed.nbest_strings(nbest):
-        phones = tuple(p for p in ostr if p not in strip_marks)
-        results.append((phones, w))
-    return results
+    return compose(acc, g2p).nbest_strings(nbest)
 
 
-def build_prolex(words, g2p, nbest=1, strip_marks=frozenset(), report=None):
+def build_prolex(words, g2p, nbest=1, report=None):
     """Lexicon over the given words; unpronounceable words are dropped.
 
     ``report`` (optional list) collects the dropped words.
     """
     lex = Prolex()
     for word in dict.fromkeys(words):
-        prons = apply_g2p(g2p, word, nbest=nbest, strip_marks=strip_marks)
+        prons = apply_g2p(g2p, word, nbest=nbest)
         if not prons:
             if report is not None:
                 report.append(word)

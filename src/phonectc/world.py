@@ -128,7 +128,7 @@ def _rand_range(rng, lo_hi):
 def _build_g2p_fst(inventory_units, grapheme_of):
     table_in = SymbolTable(sorted({g for u in inventory_units for g in grapheme_of[u]}))
     table_out = SymbolTable(sorted(inventory_units))
-    g2p = Fst(semiring="tropical", isyms=table_in, osyms=table_out)
+    g2p = Fst(isyms=table_in, osyms=table_out)
     s = g2p.add_state()
     g2p.set_final(s, 0.0)
     for unit in sorted(inventory_units):

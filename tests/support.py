@@ -1,11 +1,14 @@
-"""Shared brute-force oracles used by unit and acceptance tests.
+"""Shared brute-force oracles and input generators for the tests.
 
 These deliberately avoid the library's own lattice recursions: losses come
 from enumerating every frame-level path, gradients from central finite
 differences, so agreement is meaningful evidence of correctness.
 """
 
+from functools import lru_cache
+
 import numpy as np
+from hypothesis import strategies as st
 
 from phonectc.ctc import PosteriorGrid
 
@@ -41,6 +44,17 @@ def collapse_matrix(digits):
     return gathered, lengths
 
 
+@lru_cache(maxsize=None)
+def paths_of_shape(T, V1):
+    """Every path of a T x V1 grid with its collapse: (digits, collapsed,
+    lengths), as read-only arrays computed once per shape."""
+    digits = all_paths_digits(T, V1)
+    collapsed, lengths = collapse_matrix(digits)
+    for a in (digits, collapsed, lengths):
+        a.setflags(write=False)
+    return digits, collapsed, lengths
+
+
 def path_log_probs(grid, digits):
     T = grid.num_frames
     return grid.log_probs[np.arange(T)[None, :], digits].sum(axis=1)
@@ -49,8 +63,7 @@ def path_log_probs(grid, digits):
 def ctc_loss_bruteforce(grid, labels):
     """-log sum of path probabilities over every path collapsing to labels."""
     labels = np.asarray(labels, dtype=np.int64)
-    digits = all_paths_digits(grid.num_frames, grid.num_labels)
-    collapsed, lengths = collapse_matrix(digits)
+    digits, collapsed, lengths = paths_of_shape(grid.num_frames, grid.num_labels)
     match = lengths == len(labels)
     if len(labels) > 0:
         match &= (collapsed[:, : len(labels)] == labels[None, :]).all(axis=1)
@@ -62,8 +75,7 @@ def ctc_loss_bruteforce(grid, labels):
 
 def best_collapsed_bruteforce(grid):
     """Exact marginal-argmax collapsed sequence and its log marginal."""
-    digits = all_paths_digits(grid.num_frames, grid.num_labels)
-    collapsed, lengths = collapse_matrix(digits)
+    digits, collapsed, lengths = paths_of_shape(grid.num_frames, grid.num_labels)
     lps = path_log_probs(grid, digits)
     totals = {}
     for row, n, lp in zip(collapsed, lengths, lps):
@@ -112,3 +124,11 @@ def edit_distance_recursive(ref, hyp):
         )
 
     return d(len(ref), len(hyp))
+
+
+def damage(blob, data):
+    """``blob`` cut short at a point drawn from the Hypothesis ``data``, or
+    with drawn bytes appended."""
+    if data.draw(st.booleans(), label="pad"):
+        return blob + data.draw(st.binary(min_size=1, max_size=16), label="extra")
+    return blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]

@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import support
 from phonectc import BLANK
 from phonectc.inventory import make_alphabet
 from phonectc.model import (
@@ -244,3 +248,19 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE")
     with pytest.raises(ValueError):
         load_checkpoint(p)
+
+
+@pytest.fixture(scope="module")
+def ckpt_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(small_ckpt(seed=3), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_names_path(tmp_path_factory, ckpt_bytes, data):
+    path = tmp_path_factory.mktemp("bad") / "bad.ckpt"
+    path.write_bytes(support.damage(ckpt_bytes, data))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)

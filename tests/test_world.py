@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import support
 from phonectc.featio import (
     read_feature_matrix,
     read_feature_set,
@@ -57,6 +62,26 @@ def test_feature_magic_checked(tmp_path):
         read_feature_matrix(p)
     with pytest.raises(ValueError):
         read_feature_set(p)
+
+
+@pytest.fixture(scope="module")
+def feature_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("feats")
+    rng = np.random.default_rng(2)
+    write_feature_matrix(d / "m.bin", rng.normal(size=(5, 3)))
+    write_feature_set(d / "s.bin", [rng.normal(size=(t, 3)) for t in (4, 1, 6)])
+    return {read_feature_matrix: (d / "m.bin").read_bytes(),
+            read_feature_set: (d / "s.bin").read_bytes()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_feature_file_names_path(tmp_path_factory, feature_files, data):
+    reader = data.draw(st.sampled_from(list(feature_files)))
+    path = tmp_path_factory.mktemp("bad") / "bad.bin"
+    path.write_bytes(support.damage(feature_files[reader], data))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        reader(path)
 
 
 def test_world_shape(world):
