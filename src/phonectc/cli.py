@@ -38,6 +38,15 @@ def _write_lines(lines, out):
                 fh.write(l + "\n")
 
 
+def _load(loader, path):
+    """``loader(path)``; a file the loader rejects ends the command with the
+    loader's one-line message, which names the file, not a traceback."""
+    try:
+        return loader(path)
+    except ValueError as err:
+        raise click.ClickException(str(err)) from err
+
+
 # ----------------------------------------------------------------------
 # text
 
@@ -336,7 +345,7 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     from .world import load_world
 
     pipe = Pipeline(load_world(world_dir))
-    base = load_checkpoint(pretrained_path)
+    base = _load(load_checkpoint, pretrained_path)
     n = utterances or None
     ckpt, history = pipe.finetune(base, language, seed, n_utts=n, mode=mode)
     save_checkpoint(ckpt, out)
@@ -366,13 +375,13 @@ def decode(ckpt_path, feats_path, graph_path, lexicon_free, beam,
 
     if bool(graph_path) == lexicon_free:
         raise click.UsageError("give exactly one of --graph / --lexicon-free")
-    ckpt = load_checkpoint(ckpt_path)
+    ckpt = _load(load_checkpoint, ckpt_path)
     with open(feats_path, "rb") as fh:
         magic = fh.read(4)
     if magic == FEAT_MAGIC:
-        mats = [read_feature_matrix(feats_path)]
+        mats = [_load(read_feature_matrix, feats_path)]
     else:
-        mats = read_feature_set(feats_path)
+        mats = _load(read_feature_set, feats_path)
     g = Fst.read_text(graph_path) if graph_path else None
     lines = []
     for feats in mats:
@@ -427,7 +436,7 @@ def embeddings_export(ckpt_path, out):
     """Write one unit embedding per line: symbol, then the vector."""
     from .model import load_checkpoint, write_embeddings_tsv
 
-    write_embeddings_tsv(load_checkpoint(ckpt_path), out)
+    write_embeddings_tsv(_load(load_checkpoint, ckpt_path), out)
     click.echo(f"embeddings written to {out}")
 
 

@@ -32,7 +32,7 @@ class PosteriorGrid:
         if lp.ndim != 2:
             raise ValueError("log_probs must be a T x (|V|+1) matrix")
         sums = np.logaddexp.reduce(lp, axis=1)
-        if not np.allclose(sums, 0.0, atol=1e-6):
+        if not np.all(np.abs(sums) <= 1e-6):
             raise ValueError("rows must be normalized log distributions")
         object.__setattr__(self, "log_probs", lp)
 
@@ -73,31 +73,39 @@ def _interleave(labels):
     return np.array(states, dtype=np.int64)
 
 
-def _forward(lp, states):
-    T = lp.shape[0]
-    S = len(states)
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = lp[0, states[0]]
-    if S > 1:
-        alpha[0, 1] = lp[0, states[1]]
-    # allowed same-label skip: from s-2 when state is non-blank and differs
-    # from the non-blank two positions back
-    skip_ok = np.zeros(S, dtype=bool)
-    for s in range(2, S):
-        skip_ok[s] = states[s] != BLANK_ID and states[s] != states[s - 2]
+def _skips(states):
+    """Additive mask of the skip from state s-2 into s: 0 where s is a label
+    that differs from the label two states back, -inf elsewhere."""
+    ok = np.zeros(len(states), dtype=bool)
+    ok[2:] = (states[2:] != BLANK_ID) & (states[2:] != states[:-2])
+    return np.where(ok, 0.0, NEG_INF)
+
+
+def _forward(emit, skip):
+    """Alpha of the lattices ``emit`` (T, ..., S), the log emission of each
+    state at each frame, with skip masks ``skip`` (..., S); the axes between
+    the first and the last index independent lattices."""
+    T, *lead, S = emit.shape
+    # The lattices of a frame lie side by side in one row, each behind two
+    # pad states that emit -inf and so stay -inf: the stay, diag and skip
+    # shifts of a frame are views of the row before it.
+    padded = np.full((T, *lead, S + 2), NEG_INF)
+    padded[0, ..., 2:4] = emit[0, ..., :2]
+    gain = np.full_like(padded, NEG_INF)
+    gain[..., 2:] = emit
+    mask = np.full(padded.shape[1:], NEG_INF)
+    mask[..., 2:] = skip
+    rows = padded.reshape(T, -1)
+    alpha, diag, jump = rows[:, 2:], rows[:, 1:-1], rows[:, :-2]
+    gain, mask = gain.reshape(T, -1)[:, 2:], mask.reshape(-1)[2:]
+    skipped = np.empty_like(mask)
     for t in range(1, T):
-        prev = alpha[t - 1]
-        stay = prev
-        diag = np.concatenate(([NEG_INF], prev[:-1]))
-        skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))[:S]
-        skip = np.where(skip_ok, skip, NEG_INF)
-        alpha[t] = np.logaddexp(np.logaddexp(stay, diag), skip) + lp[t, states]
-    return alpha
-
-
-def _backward(lp, states):
-    # beta is alpha of the time- and state-reversed lattice, reversed back
-    return _forward(lp[::-1], states[::-1])[::-1, ::-1]
+        row = alpha[t]
+        np.logaddexp(alpha[t - 1], diag[t - 1], out=row)
+        np.add(jump[t - 1], mask, out=skipped)
+        np.logaddexp(row, skipped, out=row)
+        row += gain[t]
+    return padded[..., 2:]
 
 
 def _log_marginal(alpha):
@@ -109,7 +117,9 @@ def _log_marginal(alpha):
 def ctc_loss(grid, labels):
     """Negative log-likelihood of the blank-free label sequence."""
     labels = _check_labels(grid, labels)
-    return float(-_log_marginal(_forward(grid.log_probs, _interleave(labels))))
+    states = _interleave(labels)
+    alpha = _forward(grid.log_probs[:, states], _skips(states))
+    return float(-_log_marginal(alpha))
 
 
 def ctc_grad(grid, labels):
@@ -120,17 +130,19 @@ def ctc_grad(grid, labels):
     """
     labels = _check_labels(grid, labels)
     lp = grid.log_probs
-    T, V1 = lp.shape
     states = _interleave(labels)
-    alpha = _forward(lp, states)
-    beta = _backward(lp, states)
-    log_z = _log_marginal(alpha)
+    emit = lp[:, states]
+    # beta is alpha of the time- and state-reversed lattice, reversed back;
+    # the two run as one recursion
+    both = _forward(
+        np.stack((emit, emit[::-1, ::-1]), axis=1),
+        np.stack((_skips(states), _skips(states[::-1]))),
+    )
+    alpha, beta = both[:, 0], both[::-1, 1, ::-1]
     # alpha and beta both include the frame-t emission; divide it out once
-    log_gamma = alpha + beta - lp[:, states] - log_z
-    occupancy = np.zeros((T, V1))
-    gamma = np.exp(log_gamma)
-    for s, k in enumerate(states):
-        occupancy[:, k] += gamma[:, s]
+    gamma = np.exp(alpha + beta - emit - _log_marginal(alpha))
+    occupancy = np.zeros(lp.shape)
+    np.add.at(occupancy, (slice(None), states), gamma)
     return np.exp(lp) - occupancy
 
 

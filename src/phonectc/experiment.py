@@ -409,7 +409,7 @@ def _write_outputs(out_dir, rows, histories, report):
         writer = csv.writer(fh)
         writer.writerow(
             ["language", "scale", "epoch", "train_loss", "val_loss",
-             "epochs_to_converge"]
+             "epochs_to_converge", "skipped_infeasible"]
         )
         for language, scale, history in histories:
             if history is None:
@@ -417,5 +417,6 @@ def _write_outputs(out_dir, rows, histories, report):
             for row in history["epochs"]:
                 writer.writerow(
                     [language, scale, row["epoch"], row["train_loss"],
-                     row["val_loss"], history["epochs_to_converge"]]
+                     row["val_loss"], history["epochs_to_converge"],
+                     history["skipped_infeasible"]]
                 )

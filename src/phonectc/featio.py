@@ -30,9 +30,10 @@ class BinaryReader:
     def read(self, n):
         end = self.pos + n
         if end > len(self.data):
+            # n itself may be too long to print: it can come from damaged data
             raise ValueError(
-                f"{self.path}: truncated: {n} bytes wanted at byte {self.pos} "
-                f"of {len(self.data)}"
+                f"{self.path}: truncated: a record at byte {self.pos} runs past "
+                f"the end at byte {len(self.data)}"
             )
         self.pos = end
         return self.data[end - n : end]

@@ -145,10 +145,11 @@ def _conv_backward(dout, cache):
 
 
 def _layernorm_forward(x, g, b):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    centred = x - x.mean(axis=1, keepdims=True)
+    # the variance exactly as np.var computes it, from the centred input
+    var = np.square(centred).sum(axis=1, keepdims=True) / x.shape[1]
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    xhat = centred * inv
     return g * xhat + b, (xhat, inv)
 
 
@@ -444,23 +445,36 @@ def load_checkpoint(path):
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
     (hlen,) = reader.unpack("<I")
-    header = json.loads(reader.read(hlen).decode("utf-8"))
+    at = reader.pos
+    blob = reader.read(hlen)
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        alphabet = Alphabet(
+            units=tuple(header["alphabet"]["units"]),
+            kind=header["alphabet"]["kind"],
+        )
+        config = EncoderConfig(**header["config"])
+        metadata = header.get("metadata", {})
+    except (ValueError, KeyError, TypeError) as err:
+        raise ValueError(f"{path}: bad header at byte {at}: {err}") from err
     (ntensors,) = reader.unpack("<I")
     params = {}
     for _ in range(ntensors):
         (nlen,) = reader.unpack("<I")
-        name = reader.read(nlen).decode("utf-8")
+        at = reader.pos
+        try:
+            name = reader.read(nlen).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: bad tensor name at byte {at}: {err}") from err
         (rank,) = reader.unpack("<I")
+        at = reader.pos
         dims = reader.unpack(f"<{rank}I")
-        count = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(reader.read(8 * count), dtype="<f8")
-        params[name] = data.reshape(dims).astype(np.float64)
+        data = np.frombuffer(reader.read(8 * math.prod(dims)), dtype="<f8")
+        try:
+            params[name] = data.reshape(dims).astype(np.float64)
+        except ValueError as err:
+            raise ValueError(f"{path}: bad tensor shape at byte {at}: {err}") from err
     reader.expect_end()
-    alphabet = Alphabet(
-        units=tuple(header["alphabet"]["units"]), kind=header["alphabet"]["kind"]
-    )
-    config = EncoderConfig(**header["config"])
     return ModelCheckpoint(
-        config=config, alphabet=alphabet, params=params,
-        metadata=header.get("metadata", {}),
+        config=config, alphabet=alphabet, params=params, metadata=metadata,
     )

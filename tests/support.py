@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own lattice recursions: losses come
 from enumerating every frame-level path, gradients from central finite
-differences, so agreement is meaningful evidence of correctness.
+differences, so agreement is meaningful evidence of correctness. The
+textbook frame-by-frame CTC recursion is kept here as the exact reference
+for the library's vectorised one.
 """
 
 from functools import lru_cache
@@ -83,6 +85,60 @@ def best_collapsed_bruteforce(grid):
         totals[key] = np.logaddexp(totals.get(key, -np.inf), lp)
     best = min(totals.items(), key=lambda kv: (-kv[1], kv[0]))
     return list(best[0]), float(best[1])
+
+
+def _alpha_reference(lp, states):
+    """Textbook CTC forward recursion on the 2L+1-state lattice, one frame
+    at a time, with freshly allocated shifts."""
+    T = lp.shape[0]
+    S = len(states)
+    alpha = np.full((T, S), -np.inf)
+    alpha[0, 0] = lp[0, states[0]]
+    if S > 1:
+        alpha[0, 1] = lp[0, states[1]]
+    # allowed same-label skip: from s-2 when state is non-blank and differs
+    # from the non-blank two positions back
+    skip_ok = np.zeros(S, dtype=bool)
+    for s in range(2, S):
+        skip_ok[s] = states[s] != 0 and states[s] != states[s - 2]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        stay = prev
+        diag = np.concatenate(([-np.inf], prev[:-1]))
+        skip = np.concatenate(([-np.inf, -np.inf], prev[:-2]))[:S]
+        skip = np.where(skip_ok, skip, -np.inf)
+        alpha[t] = np.logaddexp(np.logaddexp(stay, diag), skip) + lp[t, states]
+    return alpha
+
+
+def _reference_lattice(grid, labels):
+    states = [0]
+    for k in labels:
+        states.extend((k, 0))
+    states = np.array(states, dtype=np.int64)
+    alpha = _alpha_reference(grid.log_probs, states)
+    last = alpha[-1]
+    log_z = np.logaddexp(last[-1], last[-2]) if len(last) > 1 else last[-1]
+    return states, alpha, log_z
+
+
+def ctc_loss_reference(grid, labels):
+    """The loss from the textbook recursion, for exact comparison."""
+    _, _, log_z = _reference_lattice(grid, labels)
+    return float(-log_z)
+
+
+def ctc_grad_reference(grid, labels):
+    """The gradient from the textbook recursions: beta is alpha of the time-
+    and state-reversed lattice, the occupancy is gathered state by state."""
+    lp = grid.log_probs
+    states, alpha, log_z = _reference_lattice(grid, labels)
+    beta = _alpha_reference(lp[::-1], states[::-1])[::-1, ::-1]
+    gamma = np.exp(alpha + beta - lp[:, states] - log_z)
+    occupancy = np.zeros(lp.shape)
+    for s, k in enumerate(states):
+        occupancy[:, k] += gamma[:, s]
+    return np.exp(lp) - occupancy
 
 
 def ctc_grad_fd(logits, labels, h=1e-6):

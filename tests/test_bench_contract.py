@@ -4,8 +4,10 @@
 their defining modules and where other modules import them by name, and
 raises ``TraceError`` when one is missing. A refactor that renames such a
 function or stops importing it would otherwise break only the traced
-benchmark run. This test installs and uninstalls the tracer; it runs no
-workload.
+benchmark run. The traced run also fails when a layer records no calls, and
+derives ``ctc.alpha_passes_per_grad`` from the training path's call counts,
+so one tiny training run checks that path too. These tests install and
+uninstall the tracer; they run no benchmark workload.
 """
 
 import importlib
@@ -13,6 +15,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -61,3 +64,22 @@ def test_tracer_covers_every_layer_and_restores_originals(layertrace):
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
+
+
+def test_training_path_records_every_traced_layer(layertrace):
+    from phonectc import model
+    from phonectc.inventory import make_alphabet
+
+    rng = np.random.default_rng(0)
+    corpus = [(rng.normal(size=(8, 4)), [1, 2]) for _ in range(4)]
+    config = model.EncoderConfig(input_dim=4, hidden_dim=6, num_blocks=1)
+    ckpt = model.init_checkpoint(config, make_alphabet({"a", "b"}))
+    schedule = model.TrainSchedule(total_steps=2, batch_size=2, max_epochs=1)
+    with layertrace.Tracer().installed() as tracer:
+        model.train(ckpt, corpus, schedule, seed=0)
+    stats = tracer.stats
+    for layer in ("ctc.ctc_loss", "ctc.ctc_grad", "ctc.PosteriorGrid",
+                  "model.evaluate_loss", "model.forward"):
+        assert layer in stats and stats[layer].calls > 0, layer
+    # the loss a training step computes alongside its gradient
+    assert stats["ctc.ctc_loss"].counts["in_train"] > 0

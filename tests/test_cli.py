@@ -219,3 +219,46 @@ def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
         main, ["experiment", "run", "--world", world_dir, "--config", str(cfg)]
     )
     assert result.exit_code == 2
+
+
+@pytest.fixture
+def damaged_files(tmp_path):
+    """A good checkpoint, plus a checkpoint and a feature set that each
+    carry two trailing bytes."""
+    import numpy as np
+
+    from phonectc.featio import write_feature_set
+    from phonectc.inventory import make_alphabet
+    from phonectc.model import EncoderConfig, init_checkpoint, save_checkpoint
+
+    config = EncoderConfig(input_dim=4, hidden_dim=6, num_blocks=1)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(init_checkpoint(config, make_alphabet({"a", "b"})), good)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(good.read_bytes() + b"\0\0")
+    feats = tmp_path / "bad.bin"
+    write_feature_set(feats, [np.zeros((3, 4))])
+    feats.write_bytes(feats.read_bytes() + b"\0\0")
+    return {"good": str(good), "bad": str(bad), "feats": str(feats),
+            "out": str(tmp_path / "out")}
+
+
+@pytest.mark.parametrize("args, culprit", [
+    (["decode", "--checkpoint", "{bad}", "--features", "{feats}",
+      "--lexicon-free"], "bad"),
+    (["decode", "--checkpoint", "{good}", "--features", "{feats}",
+      "--lexicon-free"], "feats"),
+    (["finetune", "--world", "{world}", "--pretrained", "{bad}",
+      "--language", "u1", "-o", "{out}"], "bad"),
+    (["embeddings", "export", "--checkpoint", "{bad}", "-o", "{out}"], "bad"),
+], ids=["decode-checkpoint", "decode-features", "finetune", "embeddings-export"])
+def test_damaged_input_file_is_a_one_line_error(runner, world_dir, damaged_files,
+                                                args, culprit):
+    files = {**damaged_files, "world": world_dir}
+    result = runner.invoke(main, [a.format(**files) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("Error: ")
+    assert files[culprit] in lines[0]

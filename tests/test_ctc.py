@@ -26,6 +26,64 @@ def test_grid_rejects_unnormalized():
         PosteriorGrid(log_probs=np.zeros(3))
 
 
+@pytest.mark.parametrize("offset", [2e-6, -2e-6])
+def test_grid_rejects_rows_off_by_more_than_tolerance(offset):
+    lp = support.random_grid(np.random.default_rng(11), 3, 4).log_probs.copy()
+    lp[1] += offset
+    with pytest.raises(ValueError):
+        PosteriorGrid(log_probs=lp)
+
+
+def test_grid_accepts_rows_within_tolerance():
+    lp = support.random_grid(np.random.default_rng(12), 3, 4).log_probs.copy()
+    lp[1] += 5e-7
+    lp[2] -= 5e-7
+    PosteriorGrid(log_probs=lp)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "row", [[np.nan] * 3, [np.inf, 0.0, 0.0], [-np.inf] * 3],
+    ids=["nan", "plus-inf", "all-minus-inf"],
+)
+def test_grid_rejects_non_finite_rows(row):
+    lp = support.random_grid(np.random.default_rng(13), 2, 3).log_probs.copy()
+    lp[0] = row
+    with pytest.raises(ValueError):
+        PosteriorGrid(log_probs=lp)
+
+
+def _random_lattice(rng):
+    """A random feasible (grid, labels), biased towards repeated labels and
+    lattices with no frame to spare."""
+    V1 = int(rng.integers(2, 8))
+    L = int(rng.integers(0, 9))
+    labels = [int(k) for k in rng.integers(1, V1, size=L)]
+    if L > 1 and rng.random() < 0.3:
+        labels[1] = labels[0]
+    need = len(labels) + sum(a == b for a, b in zip(labels, labels[1:]))
+    T = max(1, need) + int(rng.integers(0, 3 if rng.random() < 0.5 else 20))
+    return support.random_grid(rng, T, V1), labels
+
+
+CORNER_LATTICES = [
+    (1, 3, []), (1, 3, [2]), (4, 3, []), (3, 2, [1, 1]), (5, 3, [2, 2, 2]),
+    (2, 4, [3, 1]), (7, 4, [1, 1, 2, 2]),
+]
+
+
+def test_loss_and_grad_equal_textbook_recursion():
+    rng = np.random.default_rng(14)
+    cases = [(support.random_grid(rng, T, V1), labels)
+             for T, V1, labels in CORNER_LATTICES]
+    cases += [_random_lattice(rng) for _ in range(1500)]
+    for grid, labels in cases:
+        assert ctc_loss(grid, labels) == support.ctc_loss_reference(grid, labels)
+        assert np.array_equal(
+            ctc_grad(grid, labels), support.ctc_grad_reference(grid, labels)
+        )
+
+
 def test_single_frame_single_label():
     grid = support.random_grid(np.random.default_rng(0), 1, 3)
     assert ctc_loss(grid, [2]) == pytest.approx(-grid.log_probs[0, 2])

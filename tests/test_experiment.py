@@ -3,13 +3,14 @@ import json
 
 import pytest
 
+from phonectc.ctc import min_frames
 from phonectc.experiment import (
     ExperimentConfig,
     Pipeline,
     make_schedule,
     run_experiment,
 )
-from phonectc.model import save_checkpoint
+from phonectc.model import save_checkpoint, subsampled_length
 from phonectc.world import SyntheticWorldConfig, generate_world
 
 TINY_ENC = dict(hidden_dim=8, num_blocks=1)
@@ -63,6 +64,25 @@ def test_monolingual_run_outputs(world, tmp_path):
     with open(out / "history.csv") as fh:
         hist = list(csv.DictReader(fh))
     assert hist and hist[0]["epoch"] == "1"
+
+
+def test_history_reports_skipped_utterances(world, tmp_path):
+    # a stride of 3 leaves some training utterances too few frames
+    encoder = {**TINY_ENC, "subsample_stride": 3}
+    pipe = Pipeline(world, encoder=encoder)
+    corpus = pipe.phoneme_corpus("s1", "train", pipe.phoneme_alphabet(["s1"]))
+    skipped = sum(subsampled_length(len(x), 3) < min_frames(labels)
+                  for x, labels in corpus)
+    assert 0 < skipped < len(corpus)
+    config = ExperimentConfig(
+        mode="monolingual", languages=("s1",), seed=0, encoder=encoder,
+        schedule=TINY_SCHED, lm_order=2, output_dir=str(tmp_path / "out"),
+    )
+    run_experiment(world, config)
+    with open(tmp_path / "out" / "history.csv") as fh:
+        hist = list(csv.DictReader(fh))
+    assert hist
+    assert {row["skipped_infeasible"] for row in hist} == {str(skipped)}
 
 
 def test_crosslingual_scales_and_forgetting(world, tmp_path):

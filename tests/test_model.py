@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -264,3 +265,21 @@ def test_damaged_checkpoint_names_path(tmp_path_factory, ckpt_bytes, data):
     path.write_bytes(support.damage(ckpt_bytes, data))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_header_bit_flip_loads_or_names_path(tmp_path_factory, ckpt_bytes, data):
+    # magic, version, header length, JSON header: a flip there either loads
+    # (say, a digit of the metadata) or raises ValueError naming the file
+    (hlen,) = struct.unpack("<I", ckpt_bytes[8:12])
+    byte = data.draw(st.integers(0, 12 + hlen - 1), label="byte")
+    bit = data.draw(st.integers(0, 7), label="bit")
+    blob = bytearray(ckpt_bytes)
+    blob[byte] ^= 1 << bit
+    path = tmp_path_factory.mktemp("flip") / "flip.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except ValueError as err:
+        assert str(path) in str(err)
