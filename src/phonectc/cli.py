@@ -308,18 +308,12 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
     from .world import load_world
 
     pipe = Pipeline(load_world(world_dir))
-    if language == "all-seen":
-        if supervision == "phoneme":
-            ckpt, history = pipe.train_multilingual_phoneme(seed)
-        else:
-            ckpt, history, bpe = pipe.train_multilingual_subword(
-                seed, bpe_vocab_size
-            )
-            bpe.save(str(out) + ".bpe")
-    else:
-        ckpt, history = pipe.train_monolingual(
-            language, seed, supervision=supervision
-        )
+    codes = pipe.world.seen_codes if language == "all-seen" else [language]
+    bpe = None
+    if supervision == "subword":
+        bpe = pipe.train_bpe_model(seed, bpe_vocab_size)
+        bpe.save(str(out) + ".bpe")
+    ckpt, history = pipe.train_languages(codes, seed, supervision, bpe)
     save_checkpoint(ckpt, out)
     last = history["epochs"][-1]
     click.echo(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -40,8 +40,8 @@ from .textnorm import Prolex
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str  # monolingual | multilingual_phoneme | multilingual_subword | crosslingual_ft
-    supervision: str = "phoneme"  # phoneme | subword
+    mode: str  # monolingual | multilingual | crosslingual_ft
+    supervision: str = "phoneme"  # phoneme | subword, in every mode
     languages: tuple = ()  # empty = all seen languages
     ft_language: str = ""
     ft_data_scales: tuple = ()  # utterance counts; 0 = full training set
@@ -55,18 +55,19 @@ class ExperimentConfig:
     beam: int = 16
     acoustic_scale: float = 1.0
     forgetting_eval: bool = False
-    forgetting_utterances: int = 20
     output_dir: str = "results"
 
     def __post_init__(self):
-        modes = (
-            "monolingual",
-            "multilingual_phoneme",
-            "multilingual_subword",
-            "crosslingual_ft",
-        )
-        if self.mode not in modes:
+        if self.mode not in ("monolingual", "multilingual", "crosslingual_ft"):
             raise ValueError(f"unknown mode: {self.mode!r}")
+        if self.supervision not in ("phoneme", "subword"):
+            raise ValueError(f"unknown supervision: {self.supervision!r}")
+        if self.init_mode not in ("copy_shared", "random_all", "scratch"):
+            raise ValueError(f"unknown init_mode: {self.init_mode!r}")
+        for key, cls in (("encoder", EncoderConfig), ("schedule", TrainSchedule)):
+            bad = set(getattr(self, key)) - {f.name for f in fields(cls)}
+            if bad:
+                raise ValueError(f"unknown {key} keys: {sorted(bad)}")
         if self.mode == "crosslingual_ft" and self.init_mode != "scratch":
             if not self.pretrained_path:
                 raise ValueError("crosslingual_ft needs a pretrained checkpoint")
@@ -146,19 +147,26 @@ class Pipeline:
     # ------------------------------------------------------------------
     # training
 
-    def _train_new(self, seed, alphabet, corpus, val, sched):
+    def train_languages(self, codes, seed, supervision="phoneme", bpe=None,
+                        limit=None, alphabet=None, **sched):
+        """Train a freshly initialised model on the pooled training splits
+        of ``codes``, with their dev splits for validation; returns
+        ``(checkpoint, history)``. ``limit`` caps each language's training
+        utterances; ``bpe`` is needed under subword supervision."""
+        alphabet, corpus, val = self._corpora(
+            codes, supervision, bpe, alphabet, limit
+        )
         ckpt = init_checkpoint(self.encoder_config, alphabet, seed=seed)
         schedule = make_schedule(len(corpus), **sched)
         return train(ckpt, corpus, schedule, seed, val_corpus=val)
 
     def train_monolingual(self, code, seed, supervision="phoneme", bpe=None,
                           limit=None, alphabet=None, **sched):
-        return self._train_new(
-            seed, *self._corpora([code], supervision, bpe, alphabet, limit), sched
-        )
+        return self.train_languages([code], seed, supervision, bpe, limit,
+                                    alphabet, **sched)
 
     def train_multilingual_phoneme(self, seed, **sched):
-        return self._train_new(seed, *self._corpora(self.world.seen_codes), sched)
+        return self.train_languages(self.world.seen_codes, seed, **sched)
 
     def train_bpe_model(self, seed, vocab_size, beta=0.5):
         codes = self.world.seen_codes
@@ -178,10 +186,8 @@ class Pipeline:
 
     def train_multilingual_subword(self, seed, vocab_size, **sched):
         bpe = self.train_bpe_model(seed, vocab_size)
-        final, history = self._train_new(
-            seed, *self._corpora(self.world.seen_codes, "subword", bpe), sched
-        )
-        return final, history, bpe
+        return (*self.train_languages(self.world.seen_codes, seed, "subword",
+                                      bpe, **sched), bpe)
 
     def finetune(self, pretrained, code, seed, n_utts=None, mode="copy_shared",
                  supervision="phoneme", bpe=None, alphabet=None, **sched):
@@ -195,10 +201,8 @@ class Pipeline:
 
     def train_scratch(self, code, seed, n_utts=None, supervision="phoneme",
                       bpe=None, alphabet=None, **sched):
-        return self.train_monolingual(
-            code, seed, supervision=supervision, bpe=bpe, limit=n_utts,
-            alphabet=alphabet, **sched,
-        )
+        return self.train_languages([code], seed, supervision, bpe, n_utts,
+                                    alphabet, **sched)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -297,7 +301,8 @@ def run_experiment(world, config):
     )
     rows = []  # (experiment, language, scale, split, metric, value)
     histories = []
-    report = {"mode": config.mode, "seed": config.seed, "results": []}
+    report = {"mode": config.mode, "supervision": config.supervision,
+              "seed": config.seed, "results": []}
 
     def record(language, scale, split, metric, value, history=None):
         rows.append((config.mode, language, scale, split, metric, value))
@@ -309,42 +314,32 @@ def run_experiment(world, config):
             histories.append((language, scale, history))
 
     sched = dict(config.schedule)
-    if config.mode == "monolingual":
-        codes = list(config.languages) or world.seen_codes
-        for code in codes:
-            final, history = pipe.train_monolingual(
-                code, config.seed, supervision=config.supervision, **sched
-            )
-            _eval_and_record(pipe, final, code, "full", config, record, history)
-    elif config.mode == "multilingual_phoneme":
-        final, history = pipe.train_multilingual_phoneme(config.seed, **sched)
-        for code in world.seen_codes:
-            _eval_and_record(pipe, final, code, "full", config, record,
-                             history if code == world.seen_codes[0] else None)
-        save_checkpoint(final, out_dir / "multilingual_phoneme.ckpt")
-    elif config.mode == "multilingual_subword":
-        final, history, bpe = pipe.train_multilingual_subword(
-            config.seed, config.bpe_vocab_size, **sched
-        )
-        for code in world.seen_codes:
-            wer_val, fails = pipe.eval_wer(
-                final, code, "test", "subword", bpe
-            )
-            record(code, "full", "test", "wer", wer_val)
-            if fails:
-                record(code, "full", "test", "decode_failures", fails)
-        histories.append((world.seen_codes[0], "full", history))
-        save_checkpoint(final, out_dir / "multilingual_subword.ckpt")
+    bpe = None
+    if config.supervision == "subword":
+        bpe = pipe.train_bpe_model(config.seed, config.bpe_vocab_size)
         bpe.save(out_dir / "bpe.model")
+    train_new = partial(pipe.train_languages, seed=config.seed,
+                        supervision=config.supervision, bpe=bpe, **sched)
+    codes = list(config.languages) or world.seen_codes
+    if config.mode == "monolingual":
+        for code in codes:
+            final, history = train_new([code])
+            _eval_and_record(pipe, final, code, "full", config, record, history,
+                             bpe)
+    elif config.mode == "multilingual":
+        final, history = train_new(codes)
+        for code in codes:
+            _eval_and_record(pipe, final, code, "full", config, record,
+                             history if code == codes[0] else None, bpe)
+        save_checkpoint(
+            final, out_dir / f"multilingual_{config.supervision}.ckpt"
+        )
     else:  # crosslingual_ft
         code = config.ft_language or world.unseen_codes[0]
         scales = list(config.ft_data_scales) or [0]
         base = None
-        bpe = None
         if config.init_mode != "scratch":
             base = load_checkpoint(config.pretrained_path)
-        if config.supervision == "subword":
-            bpe = pipe.train_bpe_model(config.seed, config.bpe_vocab_size)
         ft_alphabet = None
         if (config.supervision == "phoneme" and config.forgetting_eval
                 and base is not None):
@@ -355,11 +350,8 @@ def run_experiment(world, config):
             ft_alphabet = make_alphabet(units)
         for scale in scales:
             n = None if scale in (0, "all") else int(scale)
-            if config.init_mode == "scratch":
-                final, history = pipe.train_scratch(
-                    code, config.seed, n_utts=n,
-                    supervision=config.supervision, bpe=bpe, **sched
-                )
+            if base is None:
+                final, history = train_new([code], limit=n)
             else:
                 final, history = pipe.finetune(
                     base, code, config.seed, n_utts=n, mode=config.init_mode,
@@ -368,7 +360,7 @@ def run_experiment(world, config):
                 )
             label = "full" if n is None else str(n)
             _eval_and_record(pipe, final, code, label, config, record, history,
-                             bpe=bpe)
+                             bpe)
             if config.forgetting_eval and base is not None:
                 w, before, after = pipe.forgetting_ward(
                     base, final, supervision=config.supervision, bpe=bpe
@@ -381,8 +373,7 @@ def run_experiment(world, config):
     return report
 
 
-def _eval_and_record(pipe, ckpt, code, scale, config, record, history,
-                     bpe=None):
+def _eval_and_record(pipe, ckpt, code, scale, config, record, history, bpe):
     if config.supervision == "phoneme":
         for split in ("dev", "test"):
             record(code, scale, split, "per", pipe.eval_per(ckpt, code, split))

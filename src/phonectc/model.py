@@ -57,13 +57,10 @@ class TrainSchedule:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.98
     adam_eps: float = 1e-9
-    loss_norm: str = "input"  # "input" (frames after subsampling) | "label"
 
     def __post_init__(self):
         if not 0 < self.warmup_fraction < 1:
             raise ValueError("warmup_fraction must lie in (0, 1)")
-        if self.loss_norm not in ("input", "label"):
-            raise ValueError("loss_norm must be 'input' or 'label'")
 
     @property
     def warmup_steps(self):
@@ -95,24 +92,34 @@ class ModelCheckpoint:
         )
 
 
-def init_checkpoint(config, alphabet, seed=0):
-    """Seeded Gaussian init; embedding rows use std 1/sqrt(D)."""
-    rng = np.random.default_rng(seed)
+def _param_shapes(config, num_units):
+    """Name -> shape of every parameter tensor, in initialisation order."""
     d = config.hidden_dim
-    k = config.conv_kernel
-    params = {
-        "conv.w": rng.normal(0.0, 1.0 / math.sqrt(config.input_dim * k),
-                             (d, config.input_dim, k)),
-        "conv.b": np.zeros(d),
-    }
+    shapes = {"conv.w": (d, config.input_dim, config.conv_kernel), "conv.b": (d,)}
     for i in range(config.num_blocks):
-        params[f"block{i}.w1"] = rng.normal(0.0, 1.0 / math.sqrt(d), (4 * d, d))
-        params[f"block{i}.b1"] = np.zeros(4 * d)
-        params[f"block{i}.w2"] = rng.normal(0.0, 1.0 / math.sqrt(4 * d), (d, 4 * d))
-        params[f"block{i}.b2"] = np.zeros(d)
-        params[f"block{i}.ln.g"] = np.ones(d)
-        params[f"block{i}.ln.b"] = np.zeros(d)
-    params["out.w"] = rng.normal(0.0, 1.0 / math.sqrt(d), (len(alphabet), d))
+        shapes[f"block{i}.w1"] = (4 * d, d)
+        shapes[f"block{i}.b1"] = (4 * d,)
+        shapes[f"block{i}.w2"] = (d, 4 * d)
+        shapes[f"block{i}.b2"] = (d,)
+        shapes[f"block{i}.ln.g"] = (d,)
+        shapes[f"block{i}.ln.b"] = (d,)
+    shapes["out.w"] = (num_units, d)
+    return shapes
+
+
+def init_checkpoint(config, alphabet, seed=0):
+    """Seeded init: matrices are Gaussian with std 1/sqrt(fan-in), so
+    embedding rows use std 1/sqrt(D); biases are 0 and layer-norm gains 1."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in _param_shapes(config, len(alphabet)).items():
+        if len(shape) > 1:
+            fan_in = math.prod(shape[1:])
+            params[name] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), shape)
+        elif name.endswith(".ln.g"):
+            params[name] = np.ones(shape)
+        else:
+            params[name] = np.zeros(shape)
     return ModelCheckpoint(
         config=config, alphabet=alphabet, params=params,
         metadata={"seed": seed, "step": 0},
@@ -208,16 +215,15 @@ def forward(ckpt, features):
     return PosteriorGrid(log_probs=log_probs, alphabet=ckpt.alphabet)
 
 
-def _loss_and_grads(ckpt, x, labels, loss_norm, dropout_rng=None):
-    """Length-normalized CTC loss and parameter gradients for one utterance."""
+def _loss_and_grads(ckpt, x, labels, dropout_rng=None):
+    """Frame-normalized CTC loss and parameter gradients for one utterance."""
     p = ckpt.params
     h, caches = _encode(ckpt, x, dropout_rng=dropout_rng)
     logits = h @ p["out.w"].T
     log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
     grid = PosteriorGrid(log_probs=log_probs, alphabet=ckpt.alphabet)
-    norm = grid.num_frames if loss_norm == "input" else max(1, len(labels))
-    loss = ctc_loss(grid, labels) / norm
-    dlogits = ctc_grad(grid, labels) / norm
+    loss = ctc_loss(grid, labels) / grid.num_frames
+    dlogits = ctc_grad(grid, labels) / grid.num_frames
     grads = {"out.w": dlogits.T @ h}
     dh = dlogits @ p["out.w"]
     for name, block_cache, ln_cache in reversed(caches[1:]):
@@ -242,16 +248,15 @@ def _loss_and_grads(ckpt, x, labels, loss_norm, dropout_rng=None):
     return loss, grads
 
 
-def evaluate_loss(ckpt, corpus, loss_norm="input"):
-    """Mean length-normalized CTC loss over a corpus (no dropout)."""
+def evaluate_loss(ckpt, corpus):
+    """Mean frame-normalized CTC loss over a corpus (no dropout)."""
     total = 0.0
     n = 0
     for x, labels in corpus:
         x = np.asarray(x, dtype=np.float64)
         grid = forward(ckpt, x)
-        norm = grid.num_frames if loss_norm == "input" else max(1, len(labels))
         try:
-            total += ctc_loss(grid, labels) / norm
+            total += ctc_loss(grid, labels) / grid.num_frames
         except InfeasibleAlignmentError:
             continue
         n += 1
@@ -311,9 +316,8 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
             acc = {k: np.zeros_like(p) for k, p in ckpt.params.items()}
             for idx in batch:
                 x, labels = usable[idx]
-                loss, grads = _loss_and_grads(
-                    ckpt, x, labels, schedule.loss_norm, dropout_rng=dropout_rng
-                )
+                loss, grads = _loss_and_grads(ckpt, x, labels,
+                                              dropout_rng=dropout_rng)
                 epoch_loss += loss
                 nutts += 1
                 for k in acc:
@@ -329,7 +333,7 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
                 vhat = v[k] / (1 - b2**step)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
         train_loss = epoch_loss / max(1, nutts)
-        val_loss = evaluate_loss(ckpt, val_corpus, schedule.loss_norm)
+        val_loss = evaluate_loss(ckpt, val_corpus)
         history["epochs"].append(
             {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
         )
@@ -475,6 +479,13 @@ def load_checkpoint(path):
         except ValueError as err:
             raise ValueError(f"{path}: bad tensor shape at byte {at}: {err}") from err
     reader.expect_end()
+    expected = _param_shapes(config, len(alphabet))
+    for name in sorted(expected.keys() | params.keys()):
+        got = params[name].shape if name in params else "absent"
+        want = expected.get(name, "absent")
+        if got != want:
+            raise ValueError(f"{path}: tensor {name!r} is {got} in the file, "
+                             f"but {want} by the header's config and alphabet")
     return ModelCheckpoint(
         config=config, alphabet=alphabet, params=params, metadata=metadata,
     )

@@ -214,11 +214,34 @@ def test_experiment_run(runner, world_dir, tmp_path):
 
 def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text("mode: bogus\n")
+    for text in ("mode: bogus\n",
+                 "mode: multilingual_phoneme\n",
+                 "mode: monolingual\nschedule: {max_epoch: 2}\n",
+                 "mode: monolingual\nencoder: {hidden: 8}\n",
+                 "mode: monolingual\nsupervision: grapheme\n"):
+        cfg.write_text(text)
+        result = runner.invoke(
+            main, ["experiment", "run", "--world", world_dir, "--config", str(cfg),
+                   "-o", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2, text
+        assert result.output.strip().splitlines()[-1].startswith("Error: "), text
+        assert not (tmp_path / "out").exists(), text
+
+
+def test_train_subword_writes_bpe_model(runner, world_dir, tmp_path):
+    ckpt = tmp_path / "s1.ckpt"
     result = runner.invoke(
-        main, ["experiment", "run", "--world", world_dir, "--config", str(cfg)]
+        main,
+        ["train", "--world", world_dir, "--language", "s1", "--supervision",
+         "subword", "--bpe-vocab-size", "50", "-o", str(ckpt)],
     )
-    assert result.exit_code == 2
+    assert result.exit_code == 0, result.output
+    from phonectc.bpe import BpeModel
+    from phonectc.model import load_checkpoint
+
+    bpe = BpeModel.load(str(ckpt) + ".bpe")
+    assert load_checkpoint(ckpt).alphabet.units == bpe.vocab.units
 
 
 @pytest.fixture

@@ -1,7 +1,11 @@
 import csv
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
 from phonectc.ctc import min_frames
 from phonectc.experiment import (
@@ -10,11 +14,13 @@ from phonectc.experiment import (
     make_schedule,
     run_experiment,
 )
-from phonectc.model import save_checkpoint, subsampled_length
+from phonectc.model import load_checkpoint, save_checkpoint, subsampled_length
 from phonectc.world import SyntheticWorldConfig, generate_world
 
 TINY_ENC = dict(hidden_dim=8, num_blocks=1)
 TINY_SCHED = dict(max_epochs=4, early_stop_patience=4)
+TINY_BPE = 50
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +37,84 @@ def world():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(mode="bogus")
-    with pytest.raises(ValueError):
-        ExperimentConfig(mode="crosslingual_ft", init_mode="copy_shared")
+    for bad in (
+        dict(mode="bogus"),
+        dict(mode="multilingual_phoneme"),
+        dict(mode="multilingual_subword"),
+        dict(mode="crosslingual_ft", init_mode="copy_shared"),
+        dict(mode="crosslingual_ft", init_mode="copy", pretrained_path="x"),
+        dict(mode="monolingual", supervision="grapheme"),
+        dict(mode="monolingual", encoder={"hidden": 8}),
+        dict(mode="monolingual", schedule={"max_epoch": 2}),
+        dict(mode="monolingual", schedule={"loss_norm": "label"}),
+    ):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
+
+def test_readme_configs_build():
+    """Every YAML heredoc in README.md is a config the code accepts."""
+    blocks = re.findall(r"<<EOF\n(.*?)\nEOF", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        raw = yaml.safe_load(block)
+        ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
+                            for k, v in raw.items()})
+
+
+@pytest.fixture(scope="module")
+def runs(world, tmp_path_factory):
+    """``run(mode, supervision)`` -> (report, output directory) of a tiny
+    run_experiment, cached; finetuning starts from the multilingual run."""
+    done = {}
+
+    def run(mode, supervision):
+        key = (mode, supervision)
+        if key not in done:
+            extra = {}
+            if mode == "crosslingual_ft":
+                _, pre = run("multilingual", supervision)
+                extra = dict(
+                    ft_language="u1", ft_data_scales=(4,), forgetting_eval=True,
+                    pretrained_path=str(pre / f"multilingual_{supervision}.ckpt"),
+                )
+            out = tmp_path_factory.mktemp(f"{mode}-{supervision}")
+            config = ExperimentConfig(
+                mode=mode, supervision=supervision, seed=0, encoder=TINY_ENC,
+                schedule=TINY_SCHED, bpe_vocab_size=TINY_BPE, lm_order=2,
+                output_dir=str(out), **extra,
+            )
+            done[key] = run_experiment(world, config), out
+        return done[key]
+
+    return run
+
+
+@pytest.mark.parametrize("supervision", ["phoneme", "subword"])
+@pytest.mark.parametrize("mode", ["monolingual", "multilingual", "crosslingual_ft"])
+def test_every_mode_under_every_supervision(runs, mode, supervision):
+    report, out = runs(mode, supervision)
+    assert report["supervision"] == supervision
+    rows = report["results"]
+    splits = lambda metric: {r["split"] for r in rows if r["metric"] == metric}
+    assert splits("wer") == {"dev", "test"}
+    assert splits("per") == ({"dev", "test"} if supervision == "phoneme" else set())
+    assert (out / "bpe.model").exists() == (supervision == "subword")
+    with open(out / "results.csv") as fh:
+        assert {row["experiment"] for row in csv.DictReader(fh)} == {mode}
+    if mode == "crosslingual_ft":
+        assert splits("ward") == {"test"}
+
+
+def test_multilingual_subword_run_saves_the_pipeline_model(world, runs):
+    _, out = runs("multilingual", "subword")
+    saved = load_checkpoint(out / "multilingual_subword.ckpt")
+    pipe = Pipeline(world, encoder=TINY_ENC, lm_order=2)
+    final, _, bpe = pipe.train_multilingual_subword(0, TINY_BPE, **TINY_SCHED)
+    assert saved.alphabet.units == bpe.vocab.units
+    assert saved.params.keys() == final.params.keys()
+    for name, value in final.params.items():
+        assert np.array_equal(saved.params[name], value), name
 
 
 def test_make_schedule_steps():

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import struct
@@ -14,7 +15,6 @@ from phonectc.model import (
     EncoderConfig,
     TrainSchedule,
     _loss_and_grads,
-    evaluate_loss,
     export_embeddings,
     forward,
     init_checkpoint,
@@ -79,7 +79,7 @@ def test_model_gradients_match_finite_differences():
     ckpt = small_ckpt()
     x = rng.normal(size=(8, 4))
     labels = [1, 2]
-    _, grads = _loss_and_grads(ckpt, x, labels, "input")
+    _, grads = _loss_and_grads(ckpt, x, labels)
     h = 1e-6
     for name in ("out.w", "conv.w", "conv.b", "block0.w1", "block0.ln.g"):
         p = ckpt.params[name]
@@ -87,9 +87,9 @@ def test_model_gradients_match_finite_differences():
         for idx in rng.choice(flat.size, size=min(6, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + h
-            up, _ = _loss_and_grads(ckpt, x, labels, "input")
+            up, _ = _loss_and_grads(ckpt, x, labels)
             flat[idx] = orig - h
-            down, _ = _loss_and_grads(ckpt, x, labels, "input")
+            down, _ = _loss_and_grads(ckpt, x, labels)
             flat[idx] = orig
             fd = (up - down) / (2 * h)
             got = grads[name].reshape(-1)[idx]
@@ -155,16 +155,6 @@ def test_noam_peak_at_warmup():
     assert max(lrs) == pytest.approx(s.learning_rate(s.warmup_steps))
     assert s.learning_rate(s.warmup_steps) == pytest.approx(1.0)
     assert lrs[0] < lrs[s.warmup_steps - 1] > lrs[-1]
-
-
-def test_loss_norm_choices():
-    rng = np.random.default_rng(7)
-    ckpt = small_ckpt()
-    corpus = [(rng.normal(size=(10, 4)), [1, 2, 3])]
-    li = evaluate_loss(ckpt, corpus, "input")
-    ll = evaluate_loss(ckpt, corpus, "label")
-    t_out = subsampled_length(10, 2)
-    assert li * t_out == pytest.approx(ll * 3)
 
 
 def test_transfer_full_overlap_copies_everything():
@@ -256,6 +246,19 @@ def ckpt_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
     save_checkpoint(small_ckpt(seed=3), path)
     return path.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("hidden_dim", 9), ("num_blocks", 3)])
+def test_checkpoint_tensors_must_match_header(tmp_path, ckpt_bytes, key, value):
+    (hlen,) = struct.unpack("<I", ckpt_bytes[8:12])
+    header = json.loads(ckpt_bytes[12 : 12 + hlen])
+    header["config"][key] = value
+    blob = json.dumps(header).encode("utf-8")
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(ckpt_bytes[:8] + struct.pack("<I", len(blob)) + blob
+                     + ckpt_bytes[12 + hlen :])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
 
 
 @settings(max_examples=60, deadline=None)
