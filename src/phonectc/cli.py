@@ -47,6 +47,17 @@ def _load(loader, path):
         raise click.ClickException(str(err)) from err
 
 
+def _check_codes(world, codes):
+    """An unknown language code ends the command with a one-line usage
+    error, before any work."""
+    from .world import WorldError
+
+    try:
+        world.check_codes(codes)
+    except WorldError as err:
+        raise click.UsageError(str(err)) from err
+
+
 # ----------------------------------------------------------------------
 # text
 
@@ -309,6 +320,7 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
 
     pipe = Pipeline(load_world(world_dir))
     codes = pipe.world.seen_codes if language == "all-seen" else [language]
+    _check_codes(pipe.world, codes)
     bpe = None
     if supervision == "subword":
         bpe = pipe.train_bpe_model(seed, bpe_vocab_size)
@@ -339,6 +351,7 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     from .world import load_world
 
     pipe = Pipeline(load_world(world_dir))
+    _check_codes(pipe.world, [language])
     base = _load(load_checkpoint, pretrained_path)
     n = utterances or None
     ckpt, history = pipe.finetune(base, language, seed, n_utts=n, mode=mode)
@@ -354,7 +367,8 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
               help="Decode graph (text FST) for word output.")
 @click.option("--lexicon-free", is_flag=True,
               help="Prefix beam search over units instead of graph decoding.")
-@click.option("--beam", default=16, show_default=True)
+@click.option("--beam", default=16, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--acoustic-scale", default=1.0, show_default=True)
 @click.option("-o", "--out", default=None)
 def decode(ckpt_path, feats_path, graph_path, lexicon_free, beam,
@@ -450,7 +464,7 @@ def experiment():
 def experiment_run(world_dir, config_path, out):
     """Run one experiment config against a world."""
     from .experiment import ExperimentConfig, run_experiment
-    from .world import load_world
+    from .world import WorldError, load_world
 
     with open(config_path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
@@ -465,7 +479,11 @@ def experiment_run(world_dir, config_path, out):
         config = ExperimentConfig(**raw)
     except (TypeError, ValueError) as err:
         raise click.UsageError(str(err))
-    report = run_experiment(load_world(world_dir), config)
+    try:
+        # run_experiment checks the config's language codes before any work
+        report = run_experiment(load_world(world_dir), config)
+    except WorldError as err:
+        raise click.UsageError(str(err)) from err
     click.echo(json.dumps(report, ensure_ascii=False, sort_keys=True))
 
 

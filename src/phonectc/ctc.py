@@ -166,47 +166,66 @@ DEFAULT_BEAM_WIDTH = 16
 
 
 def prefix_beam_search(grid, beam_width=DEFAULT_BEAM_WIDTH):
-    """Prefix search over collapsed label sequences.
+    """Prefix search over collapsed label sequences (Hannun et al., 2014).
 
     Each beam entry keeps separate log probabilities for alignments ending
-    in blank vs. non-blank. Returns prefixes ranked by total log marginal
-    (descending), ties broken lexicographically by prefix.
+    in blank vs. non-blank. At each frame the candidates are every beam
+    prefix and every one-unit extension of it; an extension equal to a
+    prefix already in the beam is merged into that entry. A unit that
+    repeats a prefix's last unit extends the prefix only after a blank, and
+    otherwise adds to the prefix itself. The next beam is the
+    ``beam_width`` candidates of highest total log marginal, ties broken
+    lexicographically by prefix; candidates whose marginal is -inf are
+    ranked last but kept when fewer others remain. Returns
+    ``[(prefix, log marginal), ...]`` in that order.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    lp = grid.log_probs
-    T, V1 = lp.shape
-    beams = {(): (0.0, NEG_INF)}  # prefix -> (log p ending blank, non-blank)
-    for t in range(T):
-        nxt = {}
-
-        def acc(prefix, blank_part, nonblank_part):
-            pb, pnb = nxt.get(prefix, (NEG_INF, NEG_INF))
-            nxt[prefix] = (
-                np.logaddexp(pb, blank_part) if blank_part != NEG_INF else pb,
-                np.logaddexp(pnb, nonblank_part) if nonblank_part != NEG_INF else pnb,
-            )
-
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            acc(prefix, total + lp[t, BLANK_ID], NEG_INF)
-            last = prefix[-1] if prefix else None
-            for k in range(1, V1):
-                p = lp[t, k]
-                if k == last:
-                    # repeat extends the same prefix only via a blank gap
-                    acc(prefix, NEG_INF, pnb + p)
-                    acc(prefix + (k,), NEG_INF, pb + p)
-                else:
-                    acc(prefix + (k,), NEG_INF, total + p)
-        ranked = sorted(
-            nxt.items(),
-            key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
-        )
-        beams = dict(ranked[:beam_width])
-    results = [
-        (list(prefix), float(np.logaddexp(pb, pnb)))
-        for prefix, (pb, pnb) in beams.items()
-    ]
-    results.sort(key=lambda r: (-r[1], tuple(r[0])))
-    return results
+    V1 = grid.num_labels
+    prefixes = [()]
+    last = np.zeros(1, dtype=np.int64)  # last unit of each prefix, 0 if empty
+    pb = np.zeros(1)  # log p of alignments ending in blank
+    pnb = np.full(1, NEG_INF)  # ... and in a non-blank unit
+    totals = [0.0]
+    for row in grid.log_probs:
+        total = np.logaddexp(pb, pnb)
+        blank = total + row[BLANK_ID]
+        # nb[i, k]: non-blank log p of prefix i extended by unit k, and of
+        # prefix i itself (a repeat of its last unit) in column 0; the empty
+        # prefix has pnb = -inf, so its column 0 stays -inf
+        nb = total[:, None] + row
+        nb[np.arange(len(prefixes)), last] = pb + row[last]
+        nb[:, 0] = pnb + row[last]
+        # a non-empty prefix whose parent is in the beam absorbs the parent's
+        # extension; each sum has at most two terms, so order cannot matter
+        index = dict(zip(prefixes, range(len(prefixes))))
+        parent = np.array([index.get(p[:-1], -1) for p in prefixes])
+        child = np.flatnonzero((parent >= 0) & (last > 0))
+        merged = parent[child] * V1 + last[child]
+        nb[child, 0] = np.logaddexp(nb[child, 0], nb.flat[merged])
+        score = nb.copy()
+        score[:, 0] = np.logaddexp(blank, nb[:, 0])
+        live = np.ones(score.size, dtype=bool)
+        live[merged] = False
+        cand = np.flatnonzero(live)
+        vals = score.flat[cand]
+        n = len(cand)
+        if n > beam_width:
+            # keep every candidate tied with the beam_width-th best
+            keep = vals >= np.partition(vals, n - beam_width)[n - beam_width]
+            cand, vals = cand[keep], vals[keep]
+        beam_of, unit = np.divmod(cand, V1)
+        ranked = sorted(zip(
+            (-vals).tolist(),
+            [prefixes[i] + (k,) if k else prefixes[i]
+             for i, k in zip(beam_of.tolist(), unit.tolist())],
+            range(len(cand)),
+        ))[:beam_width]
+        pick = np.array([c for _, _, c in ranked])
+        beam_of, unit, cand = beam_of[pick], unit[pick], cand[pick]
+        prefixes = [p for _, p, _ in ranked]
+        totals = [-v for v, _, _ in ranked]
+        pb = np.where(unit == 0, blank[beam_of], NEG_INF)
+        pnb = nb.flat[cand]
+        last = np.where(unit == 0, last[beam_of], unit)
+    return [(list(p), v) for p, v in zip(prefixes, totals)]

@@ -68,10 +68,22 @@ class ExperimentConfig:
             bad = set(getattr(self, key)) - {f.name for f in fields(cls)}
             if bad:
                 raise ValueError(f"unknown {key} keys: {sorted(bad)}")
+        if self.beam < 1:
+            raise ValueError(f"beam must be >= 1, got {self.beam!r}")
+        if self.lm_order < 1:
+            raise ValueError(f"lm_order must be >= 1, got {self.lm_order!r}")
+        if not self.acoustic_scale > 0:
+            raise ValueError(
+                f"acoustic_scale must be > 0, got {self.acoustic_scale!r}"
+            )
         if self.mode == "crosslingual_ft" and self.init_mode != "scratch":
             if not self.pretrained_path:
                 raise ValueError("crosslingual_ft needs a pretrained checkpoint")
 
+
+# WARD divides by 100 minus the baseline WER; a higher baseline is scored
+# as this cap, and run_experiment records that it was
+WARD_BASELINE_CAP = 99.999
 
 DEFAULT_ENCODER = dict(input_dim=10, hidden_dim=16, num_blocks=1,
                        subsample_stride=2, dropout=0.0)
@@ -283,7 +295,7 @@ class Pipeline:
                         bpe=None, split="test"):
         before = self.avg_seen_wer(pretrained, split, supervision, bpe)
         after = self.avg_seen_wer(ft_ckpt, split, supervision, bpe)
-        return ward(after, min(before, 99.999)), before, after
+        return ward(after, min(before, WARD_BASELINE_CAP)), before, after
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +304,11 @@ class Pipeline:
 
 def run_experiment(world, config):
     """Execute one experiment config; returns the report dictionary and
-    writes results.csv / report.json / history.csv to the output directory."""
+    writes results.csv / report.json / history.csv to the output directory.
+    A language code the world lacks raises ``WorldError`` before any work."""
+    world.check_codes(
+        list(config.languages) + ([config.ft_language] if config.ft_language else [])
+    )
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pipe = Pipeline(
@@ -368,6 +384,8 @@ def run_experiment(world, config):
                 record(code, label, "test", "ward", w)
                 record(code, label, "test", "seen_wer_before", before)
                 record(code, label, "test", "seen_wer_after", after)
+                if before > WARD_BASELINE_CAP:
+                    record(code, label, "test", "ward_baseline_clamped", 1)
 
     _write_outputs(out_dir, rows, histories, report)
     return report

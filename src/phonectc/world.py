@@ -119,6 +119,16 @@ class World:
     def unseen_codes(self):
         return [c for c, l in self.languages.items() if not l.seen]
 
+    def check_codes(self, codes):
+        """Raise ``WorldError`` naming every code in ``codes`` that is not a
+        language of this world, with the codes that are."""
+        bad = [c for c in codes if c not in self.languages]
+        if bad:
+            raise WorldError(
+                f"unknown language code(s) {', '.join(map(repr, bad))}; "
+                f"this world has {', '.join(self.languages)}"
+            )
+
 
 def _rand_range(rng, lo_hi):
     lo, hi = lo_hi

@@ -3,8 +3,8 @@
 These deliberately avoid the library's own lattice recursions: losses come
 from enumerating every frame-level path, gradients from central finite
 differences, so agreement is meaningful evidence of correctness. The
-textbook frame-by-frame CTC recursion is kept here as the exact reference
-for the library's vectorised one.
+textbook frame-by-frame CTC recursion and the dict-based prefix beam search
+are kept here as the exact references for the library's vectorised ones.
 """
 
 from functools import lru_cache
@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import strategies as st
 
-from phonectc.ctc import PosteriorGrid
+from phonectc.ctc import BLANK_ID, NEG_INF, PosteriorGrid
 
 
 def random_grid(rng, T, V1):
@@ -139,6 +139,54 @@ def ctc_grad_reference(grid, labels):
     for s, k in enumerate(states):
         occupancy[:, k] += gamma[:, s]
     return np.exp(lp) - occupancy
+
+
+def prefix_beam_search_reference(grid, beam_width=16):
+    """The dict-based prefix search, one candidate at a time, for exact
+    comparison with the library's array search.
+
+    Each beam entry keeps separate log probabilities for alignments ending
+    in blank vs. non-blank. Returns prefixes ranked by total log marginal
+    (descending), ties broken lexicographically by prefix.
+    """
+    if beam_width < 1:
+        raise ValueError("beam_width must be >= 1")
+    lp = grid.log_probs
+    T, V1 = lp.shape
+    beams = {(): (0.0, NEG_INF)}  # prefix -> (log p ending blank, non-blank)
+    for t in range(T):
+        nxt = {}
+
+        def acc(prefix, blank_part, nonblank_part):
+            pb, pnb = nxt.get(prefix, (NEG_INF, NEG_INF))
+            nxt[prefix] = (
+                np.logaddexp(pb, blank_part) if blank_part != NEG_INF else pb,
+                np.logaddexp(pnb, nonblank_part) if nonblank_part != NEG_INF else pnb,
+            )
+
+        for prefix, (pb, pnb) in beams.items():
+            total = np.logaddexp(pb, pnb)
+            acc(prefix, total + lp[t, BLANK_ID], NEG_INF)
+            last = prefix[-1] if prefix else None
+            for k in range(1, V1):
+                p = lp[t, k]
+                if k == last:
+                    # repeat extends the same prefix only via a blank gap
+                    acc(prefix, NEG_INF, pnb + p)
+                    acc(prefix + (k,), NEG_INF, pb + p)
+                else:
+                    acc(prefix + (k,), NEG_INF, total + p)
+        ranked = sorted(
+            nxt.items(),
+            key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
+        )
+        beams = dict(ranked[:beam_width])
+    results = [
+        (list(prefix), float(np.logaddexp(pb, pnb)))
+        for prefix, (pb, pnb) in beams.items()
+    ]
+    results.sort(key=lambda r: (-r[1], tuple(r[0])))
+    return results
 
 
 def ctc_grad_fd(logits, labels, h=1e-6):

@@ -6,8 +6,9 @@ raises ``TraceError`` when one is missing. A refactor that renames such a
 function or stops importing it would otherwise break only the traced
 benchmark run. The traced run also fails when a layer records no calls, and
 derives ``ctc.alpha_passes_per_grad`` from the training path's call counts,
-so one tiny training run checks that path too. These tests install and
-uninstall the tracer; they run no benchmark workload.
+so one tiny training run checks that path too, and one tiny PER and WER
+evaluation checks the evaluation path. These tests install and uninstall
+the tracer; they run no benchmark workload.
 """
 
 import importlib
@@ -83,3 +84,26 @@ def test_training_path_records_every_traced_layer(layertrace):
         assert layer in stats and stats[layer].calls > 0, layer
     # the loss a training step computes alongside its gradient
     assert stats["ctc.ctc_loss"].counts["in_train"] > 0
+
+
+def test_evaluation_path_records_every_traced_layer(layertrace):
+    from phonectc.experiment import Pipeline
+    from phonectc.model import init_checkpoint
+    from phonectc.world import SyntheticWorldConfig, generate_world
+
+    world = generate_world(SyntheticWorldConfig(
+        num_seen_languages=1, num_unseen=1, utterances_per_language=6,
+        low_resource_utterances=4, lexicon_size_range=(8, 10), seed=3,
+    ))
+    pipe = Pipeline(world, encoder=dict(hidden_dim=6))
+    code = world.seen_codes[0]
+    ckpt = init_checkpoint(pipe.encoder_config, pipe.phoneme_alphabet([code]))
+    with layertrace.Tracer().installed() as tracer:
+        pipe.eval_per(ckpt, code)
+        pipe.eval_wer(ckpt, code)
+    stats = tracer.stats
+    for layer in ("ctc.prefix_beam_search", "model.forward",
+                  "decodegraph.build_decode_graph", "fst.compose",
+                  "decodegraph.decode", "ngram.train_ngram",
+                  "ngram.ngram_to_fst", "metrics.corpus_rate"):
+        assert layer in stats and stats[layer].calls > 0, layer

@@ -218,7 +218,12 @@ def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
                  "mode: multilingual_phoneme\n",
                  "mode: monolingual\nschedule: {max_epoch: 2}\n",
                  "mode: monolingual\nencoder: {hidden: 8}\n",
-                 "mode: monolingual\nsupervision: grapheme\n"):
+                 "mode: monolingual\nsupervision: grapheme\n",
+                 "mode: monolingual\nbeam: 0\n",
+                 "mode: monolingual\nlm_order: 0\n",
+                 "mode: monolingual\nacoustic_scale: -1.0\n",
+                 "mode: monolingual\nlanguages: [zz]\n",
+                 "mode: crosslingual_ft\ninit_mode: scratch\nft_language: zz\n"):
         cfg.write_text(text)
         result = runner.invoke(
             main, ["experiment", "run", "--world", world_dir, "--config", str(cfg),
@@ -227,6 +232,28 @@ def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
         assert result.exit_code == 2, text
         assert result.output.strip().splitlines()[-1].startswith("Error: "), text
         assert not (tmp_path / "out").exists(), text
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--language", "zz"],
+    ["finetune", "--language", "zz", "--pretrained", "missing.ckpt"],
+])
+def test_unknown_language_is_a_one_line_error(runner, world_dir, tmp_path, args):
+    out = tmp_path / "out.ckpt"
+    result = runner.invoke(main, [*args, "--world", world_dir, "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    last = result.output.strip().splitlines()[-1]
+    assert last.startswith("Error: ") and "'zz'" in last and "s1, s2, u1" in last
+    assert not out.exists()
+
+
+def test_decode_rejects_zero_beam(runner, tmp_path):
+    result = runner.invoke(
+        main, ["decode", "--checkpoint", str(tmp_path / "m.ckpt"), "--features",
+               str(tmp_path / "f.bin"), "--lexicon-free", "--beam", "0"]
+    )
+    assert result.exit_code == 2
+    assert "--beam" in result.output.strip().splitlines()[-1]
 
 
 def test_train_subword_writes_bpe_model(runner, world_dir, tmp_path):

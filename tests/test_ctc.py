@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from phonectc.ctc import (
@@ -214,3 +216,48 @@ def test_prefix_beam_scores_are_marginals():
     grid = support.random_grid(rng, 5, 3)
     results = prefix_beam_search(grid, beam_width=50)
     assert sum(math.exp(lp) for _, lp in results) <= 1.0 + 1e-9
+
+
+def _search_grid(rng):
+    """A random grid biased towards ties (rounded logits) and -inf entries."""
+    T = int(rng.integers(1, 14))
+    V1 = int(rng.integers(1, 9))
+    logits = rng.normal(0.0, 1.5, (T, V1))
+    if rng.random() < 0.3:
+        logits = np.round(logits)
+    if rng.random() < 0.2:
+        masked = rng.random((T, V1)) < 0.3
+        masked[np.arange(T), rng.integers(0, V1, T)] = False  # a finite entry per row
+        logits[masked] = -np.inf
+    lp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    return PosteriorGrid(log_probs=lp)
+
+
+def test_prefix_beam_equals_reference_search():
+    rng = np.random.default_rng(15)
+    cases = [(support.random_grid(rng, 1, V1), beam)
+             for V1 in (1, 2, 3, 5) for beam in (1, 2, 16)]
+    cases += [(uniform_grid(T, V1), beam)
+              for T in (1, 3, 6) for V1 in (1, 2, 4) for beam in (1, 3, 10**6)]
+    cases += [(support.random_grid(rng, 7, V1), 10**6) for V1 in (1, 2, 3)]
+    cases += [(_search_grid(rng), int(rng.integers(1, 20))) for _ in range(1200)]
+    for grid, beam in cases:
+        got = prefix_beam_search(grid, beam_width=beam)
+        assert got == support.prefix_beam_search_reference(grid, beam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_prefix_beam_equals_reference_search_on_drawn_grids(data):
+    T = data.draw(st.integers(1, 8), label="T")
+    V1 = data.draw(st.integers(1, 6), label="V1")
+    beam = data.draw(st.integers(1, 20), label="beam")
+    logits = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([-np.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 3.0]),
+                 min_size=V1, max_size=V1).filter(
+            lambda row: max(row) > -np.inf),
+        min_size=T, max_size=T), label="logits"))
+    lp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    grid = PosteriorGrid(log_probs=lp)
+    got = prefix_beam_search(grid, beam_width=beam)
+    assert got == support.prefix_beam_search_reference(grid, beam)

@@ -9,12 +9,18 @@ import yaml
 
 from phonectc.ctc import min_frames
 from phonectc.experiment import (
+    WARD_BASELINE_CAP,
     ExperimentConfig,
     Pipeline,
     make_schedule,
     run_experiment,
 )
-from phonectc.model import load_checkpoint, save_checkpoint, subsampled_length
+from phonectc.model import (
+    init_checkpoint,
+    load_checkpoint,
+    save_checkpoint,
+    subsampled_length,
+)
 from phonectc.world import SyntheticWorldConfig, generate_world
 
 TINY_ENC = dict(hidden_dim=8, num_blocks=1)
@@ -47,6 +53,11 @@ def test_config_validation():
         dict(mode="monolingual", encoder={"hidden": 8}),
         dict(mode="monolingual", schedule={"max_epoch": 2}),
         dict(mode="monolingual", schedule={"loss_norm": "label"}),
+        dict(mode="monolingual", beam=0),
+        dict(mode="monolingual", lm_order=0),
+        dict(mode="monolingual", acoustic_scale=0.0),
+        dict(mode="monolingual", acoustic_scale=-1.0),
+        dict(mode="monolingual", acoustic_scale=float("nan")),
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
@@ -184,6 +195,47 @@ def test_crosslingual_scales_and_forgetting(world, tmp_path):
     assert {r["scale"] for r in ward_rows} == {"4", "full"}
     before = [r for r in rows if r["metric"] == "seen_wer_before"]
     assert before and 0 <= before[0]["value"] <= 100
+    clamped = [r for r in rows if r["metric"] == "ward_baseline_clamped"]
+    assert bool(clamped) == (before[0]["value"] > WARD_BASELINE_CAP)
+
+
+def test_ward_reports_a_clamped_baseline(world, tmp_path):
+    pipe = Pipeline(world, encoder=TINY_ENC)
+    base = init_checkpoint(pipe.encoder_config,
+                           pipe.phoneme_alphabet(world.seen_codes))
+    # layer norm gain 0 and bias 1 make every hidden state all ones, which
+    # only the blank's output row sees: the model emits blank alone, so it
+    # decodes no word and its seen-language WER is 100%
+    base.params["block0.ln.g"][:] = 0.0
+    base.params["block0.ln.b"][:] = 1.0
+    base.params["out.w"][:] = 0.0
+    base.params["out.w"][0] = 10.0
+    save_checkpoint(base, tmp_path / "blank.ckpt")
+    config = ExperimentConfig(
+        mode="crosslingual_ft", ft_language="u1", ft_data_scales=(4,),
+        pretrained_path=str(tmp_path / "blank.ckpt"), seed=0,
+        encoder=TINY_ENC, schedule=TINY_SCHED, forgetting_eval=True,
+        output_dir=str(tmp_path / "ft"),
+    )
+    rows = run_experiment(world, config)["results"]
+    value = {r["metric"]: r["value"] for r in rows if r["split"] == "test"}
+    assert value["seen_wer_before"] == 100.0
+    assert value["ward_baseline_clamped"] == 1
+    assert np.isfinite(value["ward"])
+
+
+@pytest.mark.parametrize("field", [
+    dict(mode="monolingual", languages=("s1", "zz")),
+    dict(mode="multilingual", languages=("zz",)),
+    dict(mode="crosslingual_ft", init_mode="scratch", ft_language="zz"),
+])
+def test_unknown_language_code_fails_before_any_output(world, tmp_path, field):
+    out = tmp_path / "out"
+    config = ExperimentConfig(seed=0, encoder=TINY_ENC, schedule=TINY_SCHED,
+                              output_dir=str(out), **field)
+    with pytest.raises(ValueError, match=r"'zz'.*s1, s2, u1"):
+        run_experiment(world, config)
+    assert not out.exists()
 
 
 def test_scratch_mode_needs_no_checkpoint(world, tmp_path):
