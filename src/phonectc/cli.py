@@ -247,7 +247,11 @@ def graph():
 @click.option("--arpa", "arpa_path", required=True)
 @click.option("-o", "--out", required=True, help="Output graph (text FST).")
 def graph_build(inventory_path, bpe_path, lexicon_path, arpa_path, out):
-    """Compose the CTC topology, lexicon, and grammar into one decode graph."""
+    """Compose the lexicon and grammar into an L o G decode graph.
+
+    Pronunciations with units outside the unit source are dropped. The file
+    holds no CTC topology: `decode --graph` applies it over the checkpoint's
+    units, so a graph is decoded over the units both have."""
     from .decodegraph import build_decode_graph
     from .inventory import make_alphabet, read_inventory
     from .ngram import NGramModel, ngram_to_fst
@@ -261,10 +265,14 @@ def graph_build(inventory_path, bpe_path, lexicon_path, arpa_path, out):
         from .bpe import BpeModel
 
         alphabet = BpeModel.load(bpe_path).vocab
-    lex = Prolex.read_tsv(lexicon_path)
+    lex = Prolex.read_tsv(lexicon_path).restricted_to(alphabet)
+    if not lex.entries:
+        raise click.UsageError(
+            f"no pronunciation in {lexicon_path} uses only the unit source's units"
+        )
     grammar = ngram_to_fst(NGramModel.read_arpa(arpa_path))
     g = build_decode_graph(alphabet, lex, grammar)
-    g.write_text(out)
+    g.lg.write_text(out)
     click.echo(f"{g.num_states} states")
 
 
@@ -364,7 +372,8 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
 @click.option("--features", "feats_path", required=True,
               help="Feature file (single matrix or utterance set).")
 @click.option("--graph", "graph_path", default=None,
-              help="Decode graph (text FST) for word output.")
+              help="L o G decode graph (text FST from `graph build`) for "
+                   "word output.")
 @click.option("--lexicon-free", is_flag=True,
               help="Prefix beam search over units instead of graph decoding.")
 @click.option("--beam", default=16, show_default=True,
@@ -374,11 +383,12 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
 def decode(ckpt_path, feats_path, graph_path, lexicon_free, beam,
            acoustic_scale, out):
     """Decode feature matrices into word or unit sequences."""
+    from functools import partial
+
     from .ctc import prefix_beam_search
-    from .decodegraph import DecodeFailureError
+    from .decodegraph import DecodeFailureError, DecodeGraph
     from .decodegraph import decode as graph_decode
     from .featio import FEAT_MAGIC, read_feature_matrix, read_feature_set
-    from .fst import Fst
     from .model import forward, load_checkpoint
 
     if bool(graph_path) == lexicon_free:
@@ -390,7 +400,10 @@ def decode(ckpt_path, feats_path, graph_path, lexicon_free, beam,
         mats = [_load(read_feature_matrix, feats_path)]
     else:
         mats = _load(read_feature_set, feats_path)
-    g = Fst.read_text(graph_path) if graph_path else None
+    g = None
+    if graph_path:
+        read_graph = partial(DecodeGraph.read_text, alphabet=ckpt.alphabet)
+        g = _load(read_graph, graph_path)
     lines = []
     for feats in mats:
         grid = forward(ckpt, feats)

@@ -146,22 +146,6 @@ def ctc_grad(grid, labels):
     return np.exp(lp) - occupancy
 
 
-def collapse(frame_labels):
-    """Remove adjacent repeats, then blanks."""
-    out = []
-    prev = None
-    for k in frame_labels:
-        if k != prev and k != BLANK_ID:
-            out.append(int(k))
-        prev = k
-    return out
-
-
-def greedy_decode(grid):
-    """Best-path decoding: per-frame argmax, collapsed."""
-    return collapse(np.argmax(grid.log_probs, axis=1))
-
-
 DEFAULT_BEAM_WIDTH = 16
 
 

@@ -1,15 +1,21 @@
-"""CTC topology, lexicon transducer, and time-synchronous graph decoding.
+"""Lexicon and grammar decode graph, decoded through the CTC topology.
 
-The decode cascade is T o L o G: a CTC topology that collapses frame-level
-unit sequences, a pronunciation lexicon closed under concatenation, and the
-n-gram grammar acceptor. Disambiguation symbols keep homophones and
-pronunciation prefixes apart inside L and are erased after composition.
+The decode cascade is T o L o G: a CTC topology T that collapses
+frame-level unit sequences, a pronunciation lexicon L closed under
+concatenation, and the n-gram grammar acceptor G. Disambiguation symbols
+keep homophones and pronunciation prefixes apart inside L and are erased
+after composition. Only L o G is built; ``decode`` applies T on the fly, as
+EESEN does (Miao, Gowayyed & Metze, 2015), walking the states and arcs of
+the epsilon-filtered composition T o (L o G) without building it.
 """
 
 from __future__ import annotations
 
+import heapq
+from operator import itemgetter
+
 from . import BLANK
-from .fst import Fst, SymbolTable, compose
+from .fst import Fst, FstError, compose
 
 DEFAULT_BEAM = 16
 
@@ -19,35 +25,6 @@ class DecodeFailureError(RuntimeError):
         super().__init__(message)
         self.frame = frame
         self.active = active
-
-
-def build_ctc_topology(alphabet):
-    """Transducer mapping frame-level unit strings to collapsed strings.
-
-    Blank self-loops and repeat self-loops emit epsilon; every state is
-    final, so any frame sequence is accepted and its output is exactly the
-    CTC collapse.
-    """
-    units = alphabet.non_blank_units()
-    table_in = SymbolTable([BLANK] + list(units))
-    table_out = SymbolTable(list(units))
-    t = Fst(isyms=table_in, osyms=table_out)
-    start = t.add_state()
-    t.set_final(start, 0.0)
-    state_of = {}
-    for u in units:
-        s = t.add_state()
-        t.set_final(s, 0.0)
-        state_of[u] = s
-    t.add_arc(start, BLANK, "<eps>", 0.0, start)
-    for u, s in state_of.items():
-        t.add_arc(start, u, u, 0.0, s)
-        t.add_arc(s, u, "<eps>", 0.0, s)  # repeat after first emission
-        t.add_arc(s, BLANK, "<eps>", 0.0, start)
-        for v, sv in state_of.items():
-            if v != u:
-                t.add_arc(s, v, v, 0.0, sv)
-    return t.validate()
 
 
 def assign_disambiguation(prolex):
@@ -111,32 +88,117 @@ def disambiguation_symbols(l):
     return [s for s in l.isyms.symbols() if s.startswith("#")]
 
 
+class DecodeGraph:
+    """L o G with disambiguation symbols erased, and the alphabet whose
+    non-blank units T is built over.
+
+    T's units stay the build alphabet's: an L o G arc whose unit is not in
+    it is never taken, and neither is one whose unit the decoded grid's
+    alphabet lacks. A graph file holds L o G alone, so ``read_text`` takes
+    T's alphabet from the caller. The CLI passes the decoding checkpoint's,
+    and ``graph build`` drops the pronunciations its unit source lacks, so
+    a graph file is decoded over the units that both have.
+    """
+
+    def __init__(self, lg, alphabet):
+        self.lg = lg
+        self.alphabet = alphabet
+        self._tables = {}  # grid alphabet units -> _ArcTables
+
+    @property
+    def num_states(self):
+        return self.lg.num_states
+
+    @property
+    def arcs(self):
+        return self.lg.arcs
+
+    @classmethod
+    def read_text(cls, path, alphabet):
+        """An L o G graph file from ``graph build``; a T o L o G file, whose
+        input symbols include the blank, is rejected."""
+        lg = Fst.read_text(path)
+        if BLANK in lg.isyms:
+            raise FstError(
+                f"{path}: input symbols include the blank {BLANK}, so this is a "
+                "T o L o G graph from an older `graph build`; rebuild it"
+            )
+        return cls(lg, alphabet)
+
+    def tables(self, grid_alphabet):
+        """Arc tables for grids over ``grid_alphabet``, built on first use."""
+        tables = self._tables.get(grid_alphabet.units)
+        if tables is None:
+            tables = _ArcTables(self.lg, self.alphabet, grid_alphabet)
+            self._tables[grid_alphabet.units] = tables
+        return tables
+
+
+class _ArcTables:
+    """Per-L o G-state arcs with labels resolved for one grid alphabet.
+
+    A T state is the grid column of the last unit T emitted, or 0 (the
+    blank's column) at the start and after a blank. Per L o G state:
+    ``eps`` holds the epsilon-input arcs as (words, weight, dst),
+    ``joined`` the same arcs weighted 0.0 + weight for moves joined with a
+    T epsilon-output arc, ``units`` the arcs T can feed, in the build
+    alphabet's unit order, as (column, words, 0.0 + weight, dst), and
+    ``finals`` the final weight 0.0 + weight or None. T's arcs weigh 0.0.
+    """
+
+    def __init__(self, lg, alphabet, grid_alphabet):
+        rank = {}  # L o G input label -> (order in T, grid column)
+        for order, unit in enumerate(alphabet.non_blank_units()):
+            if unit in lg.isyms and unit in grid_alphabet:
+                rank[lg.isyms.id(unit)] = (order, grid_alphabet.index_of(unit))
+        self.eps, self.joined, self.units = [], [], []
+        for arcs in lg.arcs:
+            eps, joined, units = [], [], []
+            for il, ol, w, dst in arcs:
+                words = () if ol == 0 else (lg.osyms.symbol(ol),)
+                if il == 0:
+                    eps.append((words, w, dst))
+                    joined.append((words, 0.0 + w, dst))
+                elif il in rank:
+                    units.append((rank[il], words, 0.0 + w, dst))
+            units.sort(key=itemgetter(0))  # stable: arc order within a unit
+            self.eps.append(eps)
+            self.joined.append(joined)
+            self.units.append([(col, words, w, dst)
+                               for (_, col), words, w, dst in units])
+        self.finals = [None] * lg.num_states
+        for state, w in lg.finals.items():
+            self.finals[state] = 0.0 + w
+
+
 def build_decode_graph(alphabet, prolex, grammar):
-    """T o (L o G) with disambiguation symbols erased after composition."""
-    t = build_ctc_topology(alphabet)
+    """L o G with disambiguation symbols erased after composition; ``decode``
+    applies T over ``alphabet``'s units."""
     l = build_lexicon_fst(prolex)
     lg = compose(l, grammar)
     lg.relabel_input_to_eps(disambiguation_symbols(l))
-    return compose(t, lg)
+    return DecodeGraph(lg, alphabet)
 
 
-def _epsilon_closure(graph, tokens):
-    """Relax epsilon-input arcs until stable; tokens: state -> (cost, words)."""
-    queue = list(tokens)
+def _epsilon_closure(eps, tokens, limit):
+    """Relax L o G epsilon-input arcs until stable; tokens map (T state,
+    L o G state, filter) -> (cost, words). Filter 2 (T just moved alone)
+    blocks them, and they lead to filter 1. A key with no such arcs is
+    never queued, since popping it would change nothing."""
+    queue = [key for key in tokens if key[2] != 2 and eps[key[1]]]
     guard = 0
-    limit = 50 * max(1, graph.num_states) * max(1, graph.num_states)
     while queue:
-        state = queue.pop()
-        cost, words = tokens[state]
-        for il, ol, w, dst in graph.arcs[state]:
-            if il != 0:
-                continue
-            ncost = cost + w
-            nwords = words if ol == 0 else words + (graph.osyms.symbol(ol),)
-            cur = tokens.get(dst)
-            if cur is None or (ncost, nwords) < cur:
-                tokens[dst] = (ncost, nwords)
-                queue.append(dst)
+        key = queue.pop()
+        cost, words = tokens[key]
+        u = key[0]
+        for arc_words, w, dst in eps[key[1]]:
+            cand = (cost + w, words + arc_words)
+            nkey = (u, dst, 1)
+            cur = tokens.get(nkey)
+            if cur is None or cand < cur:
+                tokens[nkey] = cand
+                if eps[dst]:
+                    queue.append(nkey)
                 guard += 1
                 if guard > limit:
                     raise DecodeFailureError("epsilon cycle in decode graph")
@@ -144,46 +206,69 @@ def _epsilon_closure(graph, tokens):
 
 
 def decode(grid, graph, beam=DEFAULT_BEAM, acoustic_scale=1.0):
-    """Time-synchronous Viterbi over the composed decode graph.
+    """Time-synchronous Viterbi over T o (L o G), with T applied on the fly.
 
+    A token is keyed by (T state, L o G state, filter state), the filter
+    being the 0/1/2 of ``fst.compose``'s epsilon filter, so tokens are the
+    states of the composed graph, and each token's arcs come in the order
+    ``compose`` emits them: T's epsilon-output arcs first (repeat, then
+    blank), each alone and then joined with an L o G epsilon arc, then T's
+    unit arcs, and L o G epsilon arcs alone only in the epsilon closure.
     Frame-t arc cost is ``acoustic_scale * -log P(unit | x_t)`` plus the
     graph weight; at most ``beam`` tokens survive each frame (``beam=None``
-    disables pruning). Returns (word sequence, total weight).
+    disables pruning), the cut keeping ties in arrival order. An epsilon
+    closure that makes more than 50 M**2 relaxations is taken to be a
+    negative epsilon cycle, where M = 3 (1 + |U|) |LG| bounds the token
+    keys for the |U| units of the build alphabet and the |LG| states of
+    L o G. Returns (word sequence, total weight).
     """
     if grid.alphabet is None:
         raise ValueError("grid must carry its alphabet for graph decoding")
-    lp = grid.log_probs
-    col_of = {}
-    for il in range(len(graph.isyms)):
-        sym = graph.isyms.symbol(il)
-        if sym in grid.alphabet:
-            col_of[il] = grid.alphabet.index_of(sym)
-    tokens = _epsilon_closure(graph, {graph.start: (0.0, ())})
+    tables = graph.tables(grid.alphabet)
+    eps, joined, units = tables.eps, tables.joined, tables.units
+    keys = 3 * len(graph.alphabet) * max(1, graph.num_states)
+    limit = 50 * keys * keys
+    scores = (acoustic_scale * -grid.log_probs).tolist()
+    tokens = _epsilon_closure(eps, {(0, graph.lg.start, 0): (0.0, ())}, limit)
     for t in range(grid.num_frames):
+        row = scores[t]
         nxt = {}
-        for state, (cost, words) in tokens.items():
-            for il, ol, w, dst in graph.arcs[state]:
-                if il == 0:
+        for (u, s, f), (cost, words) in tokens.items():
+            # T's epsilon-output arcs: repeat u (a unit's column), then blank
+            # (column 0); each leads to the T state named by its column
+            for col in (u, 0) if u else (0,):
+                base = cost + row[col]
+                if f != 1:
+                    cand = (base, words)
+                    nkey = (col, s, 2)
+                    cur = nxt.get(nkey)
+                    if cur is None or cand < cur:
+                        nxt[nkey] = cand
+                if f == 0:
+                    for arc_words, w, dst in joined[s]:
+                        cand = (base + w, words + arc_words)
+                        nkey = (col, dst, 0)
+                        cur = nxt.get(nkey)
+                        if cur is None or cand < cur:
+                            nxt[nkey] = cand
+            for col, arc_words, w, dst in units[s]:
+                if col == u:
                     continue
-                col = col_of.get(il)
-                if col is None:
-                    continue
-                ncost = cost + acoustic_scale * -lp[t, col] + w
-                nwords = words if ol == 0 else words + (graph.osyms.symbol(ol),)
-                cur = nxt.get(dst)
-                if cur is None or (ncost, nwords) < cur:
-                    nxt[dst] = (ncost, nwords)
+                cand = (cost + row[col] + w, words + arc_words)
+                nkey = (col, dst, 0)
+                cur = nxt.get(nkey)
+                if cur is None or cand < cur:
+                    nxt[nkey] = cand
         if not nxt:
             raise DecodeFailureError(
                 f"no surviving token at frame {t}", frame=t, active=len(tokens)
             )
-        tokens = _epsilon_closure(graph, nxt)
+        tokens = _epsilon_closure(eps, nxt, limit)
         if beam is not None and len(tokens) > beam:
-            kept = sorted(tokens.items(), key=lambda kv: kv[1])[:beam]
-            tokens = dict(kept)
+            tokens = dict(heapq.nsmallest(beam, tokens.items(), key=itemgetter(1)))
     best = None
-    for state, (cost, words) in tokens.items():
-        final_w = graph.finals.get(state)
+    for (u, s, f), (cost, words) in tokens.items():
+        final_w = tables.finals[s]
         if final_w is None:
             continue
         cand = (cost + final_w, words)

@@ -4,7 +4,8 @@ A :class:`Pipeline` wraps one world with caches for decode graphs and
 grammars, and exposes the training/evaluation primitives: monolingual and
 multilingual training under phoneme or subword supervision, crosslingual
 finetuning with embedding transfer, PER via prefix beam search, WER via
-decoding the composed T o L o G graph, and catastrophic-forgetting WARD.
+decoding the L o G graph with the CTC topology T applied in the decoder,
+and catastrophic-forgetting WARD.
 ``run_experiment`` drives those primitives from a config and writes
 results.csv / report.json / history.csv.
 """
@@ -253,20 +254,15 @@ class Pipeline:
                 for word in lang.prolex.words():
                     lex.add(word, bpe._encode_word(word), 0.0)
             # drop entries whose units the model cannot emit
-            usable = Prolex()
-            for word, prons in lex.entries.items():
-                for phones, w in prons:
-                    if all(p in alphabet for p in phones):
-                        usable.add(word, phones, w)
             self._graph_cache[key] = build_decode_graph(
-                alphabet, usable, self._grammar(code)
+                alphabet, lex.restricted_to(alphabet), self._grammar(code)
             )
         return self._graph_cache[key]
 
     def eval_wer(self, ckpt, code, split="test", supervision="phoneme",
                  bpe=None):
-        """Word error rate via T o L o G decoding; failed decodes count as
-        empty hypotheses."""
+        """Word error rate via decoding L o G with the CTC topology applied
+        in the decoder; failed decodes count as empty hypotheses."""
         lang = self.world.languages[code]
         graph = self._decode_graph(code, ckpt.alphabet, supervision, bpe)
         pairs = []

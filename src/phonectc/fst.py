@@ -224,16 +224,21 @@ class Fst:
                 if not line:
                     continue
                 parts = line.split("\t")
-                if len(parts) == 5:
-                    src, dst = int(parts[0]), int(parts[1])
-                    entries.append(("arc", src, dst, parts[2], parts[3], float(parts[4])))
-                    max_state = max(max_state, src, dst)
-                elif len(parts) == 2:
-                    state = int(parts[0])
-                    entries.append(("final", state, float(parts[1])))
-                    max_state = max(max_state, state)
-                else:
-                    raise FstError(f"{path}:{lineno}: malformed line")
+                try:
+                    if len(parts) == 5:
+                        src, dst = int(parts[0]), int(parts[1])
+                        entry = ("arc", src, dst, parts[2], parts[3], float(parts[4]))
+                    elif len(parts) == 2:
+                        src = dst = int(parts[0])
+                        entry = ("final", src, float(parts[1]))
+                    else:
+                        raise ValueError("malformed line")
+                except ValueError as err:
+                    raise FstError(f"{path}:{lineno}: {err}") from None
+                if min(src, dst) < 0:
+                    raise FstError(f"{path}:{lineno}: negative state id")
+                entries.append(entry)
+                max_state = max(max_state, src, dst)
         for _ in range(max_state + 1):
             fst.add_state()
         for e in entries:
@@ -244,7 +249,10 @@ class Fst:
                 fst.set_final(e[1], e[2])
         if fst.start is None:
             raise FstError(f"{path}: empty FST")
-        return fst.validate()
+        try:
+            return fst.validate()
+        except FstError as err:
+            raise FstError(f"{path}: {err}") from None
 
 
 def make_string_acceptor(symbols, table=None):

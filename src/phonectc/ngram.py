@@ -265,34 +265,3 @@ def _swap_start(g, start_state):
     for s, w in g.finals.items():
         out.set_final(inv[s], w)
     return out
-
-
-def fst_sentence_score(g, words):
-    """-ln sentence probability by deterministic backoff traversal of G.
-
-    At each step take the matching word arc if the current state has one,
-    otherwise follow the epsilon backoff arc. Independent of the model's
-    own scoring path, so the two can be cross-checked.
-    """
-    state = g.start
-    total = 0.0
-    for w in words:
-        wid = g.isyms.id(w) if w in g.isyms else g.isyms.id(UNK)
-        while True:
-            match = next((a for a in g.arcs[state] if a[0] == wid), None)
-            if match is not None:
-                total += match[2]
-                state = match[3]
-                break
-            back = next((a for a in g.arcs[state] if a[0] == 0), None)
-            if back is None:
-                raise NGramError(f"no arc for {w!r} and no backoff at state {state}")
-            total += back[2]
-            state = back[3]
-    while state not in g.finals:
-        back = next((a for a in g.arcs[state] if a[0] == 0), None)
-        if back is None:
-            raise NGramError(f"state {state} cannot reach a final state")
-        total += back[2]
-        state = back[3]
-    return total + g.finals[state]

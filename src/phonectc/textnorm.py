@@ -91,6 +91,15 @@ class Prolex:
     def words(self):
         return list(self.entries)
 
+    def restricted_to(self, units):
+        """The pronunciations whose phonemes are all in ``units``."""
+        out = Prolex()
+        for word, prons in self.entries.items():
+            for phones, weight in prons:
+                if all(p in units for p in phones):
+                    out.add(word, phones, weight)
+        return out
+
     def __len__(self):
         return len(self.entries)
 

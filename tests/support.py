@@ -4,7 +4,9 @@ These deliberately avoid the library's own lattice recursions: losses come
 from enumerating every frame-level path, gradients from central finite
 differences, so agreement is meaningful evidence of correctness. The
 textbook frame-by-frame CTC recursion and the dict-based prefix beam search
-are kept here as the exact references for the library's vectorised ones.
+are kept here as the exact references for the library's vectorised ones,
+and the composed T o (L o G) graph with its decoder as the exact reference
+for the library's decoder, which applies T on the fly.
 """
 
 from functools import lru_cache
@@ -12,7 +14,16 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import strategies as st
 
+from phonectc import BLANK
 from phonectc.ctc import BLANK_ID, NEG_INF, PosteriorGrid
+from phonectc.decodegraph import (
+    DEFAULT_BEAM,
+    DecodeFailureError,
+    build_lexicon_fst,
+    disambiguation_symbols,
+)
+from phonectc.fst import Fst, SymbolTable, compose
+from phonectc.ngram import UNK, NGramError
 
 
 def random_grid(rng, T, V1):
@@ -187,6 +198,169 @@ def prefix_beam_search_reference(grid, beam_width=16):
     ]
     results.sort(key=lambda r: (-r[1], tuple(r[0])))
     return results
+
+
+def collapse(frame_labels):
+    """Remove adjacent repeats, then blanks."""
+    out = []
+    prev = None
+    for k in frame_labels:
+        if k != prev and k != BLANK_ID:
+            out.append(int(k))
+        prev = k
+    return out
+
+
+def greedy_decode(grid):
+    """Best-path decoding: per-frame argmax, collapsed."""
+    return collapse(np.argmax(grid.log_probs, axis=1))
+
+
+def fst_sentence_score(g, words):
+    """-ln sentence probability by deterministic backoff traversal of G.
+
+    At each step take the matching word arc if the current state has one,
+    otherwise follow the epsilon backoff arc. Independent of the model's
+    own scoring path, so the two can be cross-checked.
+    """
+    state = g.start
+    total = 0.0
+    for w in words:
+        wid = g.isyms.id(w) if w in g.isyms else g.isyms.id(UNK)
+        while True:
+            match = next((a for a in g.arcs[state] if a[0] == wid), None)
+            if match is not None:
+                total += match[2]
+                state = match[3]
+                break
+            back = next((a for a in g.arcs[state] if a[0] == 0), None)
+            if back is None:
+                raise NGramError(f"no arc for {w!r} and no backoff at state {state}")
+            total += back[2]
+            state = back[3]
+    while state not in g.finals:
+        back = next((a for a in g.arcs[state] if a[0] == 0), None)
+        if back is None:
+            raise NGramError(f"state {state} cannot reach a final state")
+        total += back[2]
+        state = back[3]
+    return total + g.finals[state]
+
+
+def build_ctc_topology(alphabet):
+    """Transducer mapping frame-level unit strings to collapsed strings.
+
+    Blank self-loops and repeat self-loops emit epsilon; every state is
+    final, so any frame sequence is accepted and its output is exactly the
+    CTC collapse.
+    """
+    units = alphabet.non_blank_units()
+    table_in = SymbolTable([BLANK] + list(units))
+    table_out = SymbolTable(list(units))
+    t = Fst(isyms=table_in, osyms=table_out)
+    start = t.add_state()
+    t.set_final(start, 0.0)
+    state_of = {}
+    for u in units:
+        s = t.add_state()
+        t.set_final(s, 0.0)
+        state_of[u] = s
+    t.add_arc(start, BLANK, "<eps>", 0.0, start)
+    for u, s in state_of.items():
+        t.add_arc(start, u, u, 0.0, s)
+        t.add_arc(s, u, "<eps>", 0.0, s)  # repeat after first emission
+        t.add_arc(s, BLANK, "<eps>", 0.0, start)
+        for v, sv in state_of.items():
+            if v != u:
+                t.add_arc(s, v, v, 0.0, sv)
+    return t.validate()
+
+
+def build_decode_graph_reference(alphabet, prolex, grammar):
+    """T o (L o G) with disambiguation symbols erased after composition."""
+    t = build_ctc_topology(alphabet)
+    l = build_lexicon_fst(prolex)
+    lg = compose(l, grammar)
+    lg.relabel_input_to_eps(disambiguation_symbols(l))
+    return compose(t, lg)
+
+
+def _epsilon_closure_reference(graph, tokens):
+    """Relax epsilon-input arcs until stable; tokens: state -> (cost, words)."""
+    queue = list(tokens)
+    guard = 0
+    limit = 50 * max(1, graph.num_states) * max(1, graph.num_states)
+    while queue:
+        state = queue.pop()
+        cost, words = tokens[state]
+        for il, ol, w, dst in graph.arcs[state]:
+            if il != 0:
+                continue
+            ncost = cost + w
+            nwords = words if ol == 0 else words + (graph.osyms.symbol(ol),)
+            cur = tokens.get(dst)
+            if cur is None or (ncost, nwords) < cur:
+                tokens[dst] = (ncost, nwords)
+                queue.append(dst)
+                guard += 1
+                if guard > limit:
+                    raise DecodeFailureError("epsilon cycle in decode graph")
+    return tokens
+
+
+def decode_reference(grid, graph, beam=DEFAULT_BEAM, acoustic_scale=1.0):
+    """Time-synchronous Viterbi over the composed decode graph.
+
+    Frame-t arc cost is ``acoustic_scale * -log P(unit | x_t)`` plus the
+    graph weight; at most ``beam`` tokens survive each frame (``beam=None``
+    disables pruning). Returns (word sequence, total weight).
+    """
+    if grid.alphabet is None:
+        raise ValueError("grid must carry its alphabet for graph decoding")
+    lp = grid.log_probs
+    col_of = {}
+    for il in range(len(graph.isyms)):
+        sym = graph.isyms.symbol(il)
+        if sym in grid.alphabet:
+            col_of[il] = grid.alphabet.index_of(sym)
+    tokens = _epsilon_closure_reference(graph, {graph.start: (0.0, ())})
+    for t in range(grid.num_frames):
+        nxt = {}
+        for state, (cost, words) in tokens.items():
+            for il, ol, w, dst in graph.arcs[state]:
+                if il == 0:
+                    continue
+                col = col_of.get(il)
+                if col is None:
+                    continue
+                ncost = cost + acoustic_scale * -lp[t, col] + w
+                nwords = words if ol == 0 else words + (graph.osyms.symbol(ol),)
+                cur = nxt.get(dst)
+                if cur is None or (ncost, nwords) < cur:
+                    nxt[dst] = (ncost, nwords)
+        if not nxt:
+            raise DecodeFailureError(
+                f"no surviving token at frame {t}", frame=t, active=len(tokens)
+            )
+        tokens = _epsilon_closure_reference(graph, nxt)
+        if beam is not None and len(tokens) > beam:
+            kept = sorted(tokens.items(), key=lambda kv: kv[1])[:beam]
+            tokens = dict(kept)
+    best = None
+    for state, (cost, words) in tokens.items():
+        final_w = graph.finals.get(state)
+        if final_w is None:
+            continue
+        cand = (cost + final_w, words)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        raise DecodeFailureError(
+            "no token reached a final state", frame=grid.num_frames - 1,
+            active=len(tokens),
+        )
+    total, words = best
+    return list(words), float(total)
 
 
 def ctc_grad_fd(logits, labels, h=1e-6):

@@ -21,7 +21,7 @@ from phonectc.fst import compose, make_string_acceptor
 from phonectc.inventory import make_alphabet
 from phonectc.metrics import edit_distance, ward
 from phonectc.model import EncoderConfig, init_checkpoint, transfer_init
-from phonectc.ngram import fst_sentence_score, ngram_to_fst, train_ngram
+from phonectc.ngram import ngram_to_fst, train_ngram
 from phonectc.textnorm import Prolex
 from phonectc.world import SyntheticWorldConfig, generate_world
 
@@ -225,7 +225,7 @@ def test_criterion_06_grammar_fst_matches_model_scores():
                 for i in rng.integers(len(vocab), size=rng.integers(1, 6))
             ]
             want = -model.sentence_logprob(sent) * LN10
-            assert fst_sentence_score(g, sent) == pytest.approx(want, abs=1e-9)
+            assert support.fst_sentence_score(g, sent) == pytest.approx(want, abs=1e-9)
         for _ in range(10):
             ctx = tuple(
                 vocab[i]

@@ -193,6 +193,30 @@ def test_graph_build_requires_one_unit_source(runner):
     assert result.exit_code == 2
 
 
+def test_graph_build_keeps_the_unit_sources_units(runner, tmp_path):
+    from phonectc.fst import Fst
+    from phonectc.ngram import train_ngram
+
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("ab\ta b\nax\ta x\n")
+    arpa = tmp_path / "lm.arpa"
+    train_ngram([["ab", "ax"]], order=1).write_arpa(arpa)
+    graph = tmp_path / "graph.fst.txt"
+    args = ["graph", "build", "--lexicon", str(lexicon), "--arpa", str(arpa),
+            "-o", str(graph), "--inventory"]
+    inventory = tmp_path / "inventory.txt"
+    inventory.write_text("a\nb\n")
+    result = runner.invoke(main, args + [str(inventory)])
+    assert result.exit_code == 0, result.output
+    isyms = set(Fst.read_text(graph).isyms.symbols())
+    assert {"a", "b"} <= isyms and "x" not in isyms
+
+    inventory.write_text("c\n")
+    result = runner.invoke(main, args + [str(inventory)])
+    assert result.exit_code == 2
+    assert str(lexicon) in result.output.strip().splitlines()[-1]
+
+
 def test_experiment_run(runner, world_dir, tmp_path):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(
@@ -288,9 +312,32 @@ def damaged_files(tmp_path):
     bad.write_bytes(good.read_bytes() + b"\0\0")
     feats = tmp_path / "bad.bin"
     write_feature_set(feats, [np.zeros((3, 4))])
+    good_feats = tmp_path / "good.bin"
+    good_feats.write_bytes(feats.read_bytes())
     feats.write_bytes(feats.read_bytes() + b"\0\0")
     return {"good": str(good), "bad": str(bad), "feats": str(feats),
-            "out": str(tmp_path / "out")}
+            "good_feats": str(good_feats), "out": str(tmp_path / "out")}
+
+
+@pytest.fixture
+def graph_files(tmp_path):
+    """A T o L o G graph file as `graph build` used to write it, and a graph
+    file with a bad weight."""
+    import support
+    from phonectc.inventory import make_alphabet
+    from phonectc.ngram import ngram_to_fst, train_ngram
+    from phonectc.textnorm import Prolex
+
+    lex = Prolex()
+    lex.add("ab", ["a", "b"])
+    grammar = ngram_to_fst(train_ngram([["ab"]], order=1))
+    old = tmp_path / "old.fst.txt"
+    support.build_decode_graph_reference(
+        make_alphabet({"a", "b"}), lex, grammar
+    ).write_text(old)
+    malformed = tmp_path / "malformed.fst.txt"
+    malformed.write_text("0\t1\ta\tab\tx\n1\t0.0\n")
+    return {"old_graph": str(old), "malformed_graph": str(malformed)}
 
 
 @pytest.mark.parametrize("args, culprit", [
@@ -301,10 +348,15 @@ def damaged_files(tmp_path):
     (["finetune", "--world", "{world}", "--pretrained", "{bad}",
       "--language", "u1", "-o", "{out}"], "bad"),
     (["embeddings", "export", "--checkpoint", "{bad}", "-o", "{out}"], "bad"),
-], ids=["decode-checkpoint", "decode-features", "finetune", "embeddings-export"])
+    (["decode", "--checkpoint", "{good}", "--features", "{good_feats}",
+      "--graph", "{old_graph}"], "old_graph"),
+    (["decode", "--checkpoint", "{good}", "--features", "{good_feats}",
+      "--graph", "{malformed_graph}"], "malformed_graph"),
+], ids=["decode-checkpoint", "decode-features", "finetune", "embeddings-export",
+        "decode-old-graph", "decode-malformed-graph"])
 def test_damaged_input_file_is_a_one_line_error(runner, world_dir, damaged_files,
-                                                args, culprit):
-    files = {**damaged_files, "world": world_dir}
+                                                graph_files, args, culprit):
+    files = {**damaged_files, **graph_files, "world": world_dir}
     result = runner.invoke(main, [a.format(**files) for a in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from phonectc import BLANK
@@ -9,15 +11,14 @@ from phonectc.ctc import PosteriorGrid
 from phonectc.decodegraph import (
     DecodeFailureError,
     assign_disambiguation,
-    build_ctc_topology,
     build_decode_graph,
     build_lexicon_fst,
     decode,
     disambiguation_symbols,
 )
-from phonectc.fst import compose, make_string_acceptor
-from phonectc.inventory import make_alphabet
-from phonectc.ngram import fst_sentence_score, ngram_to_fst, train_ngram
+from phonectc.fst import Fst, compose, make_string_acceptor
+from phonectc.inventory import Alphabet, make_alphabet
+from phonectc.ngram import ngram_to_fst, train_ngram
 from phonectc.textnorm import Prolex
 
 
@@ -31,23 +32,21 @@ def transduce(t, symbols):
 
 def test_topology_collapses():
     alphabet = make_alphabet({"a", "b"})
-    t = build_ctc_topology(alphabet)
+    t = support.build_ctc_topology(alphabet)
     assert transduce(t, ["a", "a", BLANK, "a"]) == ["a", "a"]
     assert transduce(t, [BLANK, BLANK]) == []
     assert transduce(t, ["a", BLANK, "b"]) == ["a", "b"]
 
 
 def test_topology_matches_greedy_collapse():
-    from phonectc.ctc import collapse
-
     alphabet = make_alphabet({"a", "b", "c"})
-    t = build_ctc_topology(alphabet)
+    t = support.build_ctc_topology(alphabet)
     rng = np.random.default_rng(0)
     units = [BLANK] + list(alphabet.non_blank_units())
     for _ in range(50):
         seq = [units[i] for i in rng.integers(len(units), size=rng.integers(1, 8))]
         idx = [alphabet.index_of(s) for s in seq]
-        want = [alphabet.symbol_at(i) for i in collapse(idx)]
+        want = [alphabet.symbol_at(i) for i in support.collapse(idx)]
         assert transduce(t, seq) == want
 
 
@@ -231,3 +230,157 @@ def test_decode_requires_alphabet():
     bare = PosteriorGrid(grid.log_probs)
     with pytest.raises(ValueError):
         decode(bare, graph)
+
+
+def outcome(decoder, grid, graph, **kw):
+    """A decoder's words and cost, or its failure's message, frame and
+    number of active tokens."""
+    try:
+        return decoder(grid, graph, **kw)
+    except DecodeFailureError as err:
+        return str(err), err.frame, err.active
+
+
+def toy_world(rng, order, units, foreign=()):
+    """Words over ``units`` with a homophone pair, a prefix pair and a word
+    of two pronunciations, one word per unit of ``foreign`` that also needs
+    that unit, and an ``order``-gram grammar over a short random corpus."""
+
+    def rand_pron(lo, hi):
+        n = int(rng.integers(lo, hi + 1))
+        return [units[i] for i in rng.integers(len(units), size=n)]
+
+    lex = Prolex()
+    shared = rand_pron(1, 3)
+    lex.add("wa", shared)
+    lex.add("wb", shared)
+    prefix = rand_pron(1, 2)
+    lex.add("wc", prefix)
+    lex.add("wd", prefix + rand_pron(1, 2))
+    lex.add("we", rand_pron(1, 3))
+    lex.add("we", rand_pron(1, 3))
+    for unit in foreign:
+        lex.add(f"x{unit}", [unit] + rand_pron(0, 1))
+    words = sorted(lex.words())
+    corpus = [
+        [words[i] for i in rng.integers(len(words), size=rng.integers(1, 4))]
+        for _ in range(6)
+    ]
+    return lex, ngram_to_fst(train_ngram(corpus, order=order, extra_vocab=words))
+
+
+def grid_over(alphabet, logits):
+    lp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    return PosteriorGrid(lp, alphabet=alphabet)
+
+
+def random_logits(rng, T, V1, kind):
+    logits = rng.normal(0.0, 2.0, (T, V1))
+    if kind == "rounded":  # few distinct values, so costs tie
+        logits = np.round(logits)
+    elif kind == "-inf":  # impossible units, at least one possible per frame
+        drop = rng.random((T, V1)) < 0.4
+        drop[np.arange(T), rng.integers(V1, size=T)] = False
+        logits[drop] = -np.inf
+    return logits
+
+
+def assert_decoders_agree(alphabet, lex, g, grids):
+    graph = build_decode_graph(alphabet, lex, g)
+    reference = support.build_decode_graph_reference(alphabet, lex, g)
+    for grid in grids:
+        for beam in (None, 0, 1, 2, 16):
+            for scale in (0.5, 1, 2.0):
+                kw = dict(beam=beam, acoustic_scale=scale)
+                assert outcome(decode, grid, graph, **kw) == outcome(
+                    support.decode_reference, grid, reference, **kw
+                ), (grid.log_probs, kw)
+
+
+def test_decode_equals_reference():
+    rng = np.random.default_rng(2024)
+    phones = list("ptkmnsaeiou")
+    for trial in range(60):
+        units = [phones[i] for i in rng.choice(len(phones), 3, replace=False)]
+        alphabet = make_alphabet(units)
+        extra = [p for p in phones if p not in units][:2]
+        grid_alphabet = alphabet
+        if trial % 3 == 1:
+            # finetuning's union alphabet: units the graph's T does not have
+            grid_alphabet = make_alphabet(units + extra)
+        elif trial % 3 == 2:
+            # a superset whose columns run against the build order
+            grid_alphabet = Alphabet(
+                units=(BLANK,) + tuple(sorted(units + extra, reverse=True)),
+                kind="phoneme",
+            )
+        foreign = extra[:1] if trial % 3 else ()
+        lex, g = toy_world(rng, 2 + trial % 2, units, foreign)
+        grids = [
+            grid_over(grid_alphabet,
+                      random_logits(rng, int(rng.integers(1, 8)),
+                                    len(grid_alphabet), kind))
+            for kind in ("normal", "rounded", "-inf")
+        ]
+        assert_decoders_agree(alphabet, lex, g, grids)
+
+    # two pronunciations of one word tie after frame 0, so beam 1 keeps the
+    # one T reaches first: T's order is the build alphabet's, not the grid's
+    alphabet = make_alphabet({"a", "b"})
+    lex = Prolex()
+    lex.add("w", ["a"])
+    lex.add("w", ["b"])
+    g = ngram_to_fst(train_ngram([["w"]], order=1))
+    reverse = Alphabet(units=(BLANK, "b", "a"), kind="phoneme")
+    grid = grid_over(reverse, np.array([[-np.inf, 0.0, 0.0], [-np.inf, -1.0, 0.0]]))
+    assert_decoders_agree(alphabet, lex, g, [grid])
+
+    # a negative-weight epsilon self-loop in G: both decoders give up in the
+    # first epsilon closure
+    alphabet = make_alphabet({"a"})
+    lex = Prolex()
+    lex.add("x", ["a"])
+    g = Fst()
+    s0, s1 = g.add_state(), g.add_state()
+    g.add_arc(s0, "x", "x", 1.0, s1)
+    g.add_arc(s1, "<eps>", "<eps>", -0.5, s1)
+    g.set_final(s1, 0.0)
+    grid = grid_over(alphabet, np.zeros((2, 2)))
+    want = ("epsilon cycle in decode graph", None, None)
+    assert outcome(decode, grid, build_decode_graph(alphabet, lex, g)) == want
+    reference = support.build_decode_graph_reference(alphabet, lex, g)
+    assert outcome(support.decode_reference, grid, reference) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decode_equals_reference_on_drawn_worlds(data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="world seed")
+    order = data.draw(st.sampled_from([1, 2, 3]), label="order")
+    units = data.draw(st.lists(st.sampled_from("abcd"), min_size=1,
+                               max_size=3, unique=True), label="units")
+    extra = data.draw(st.lists(st.sampled_from("xy"), max_size=2, unique=True),
+                      label="grid-only units")
+    reverse = data.draw(st.booleans(), label="reversed grid columns")
+    lex, g = toy_world(np.random.default_rng(seed), order, units, extra[:1])
+    alphabet = make_alphabet(units)
+    grid_alphabet = Alphabet(
+        units=(BLANK,) + tuple(sorted(units + extra, reverse=reverse)),
+        kind="phoneme",
+    )
+    T = data.draw(st.integers(1, 6), label="frames")
+    values = st.sampled_from([0.0, -1.0, -2.0, 1.5, -np.inf])
+    width = len(grid_alphabet)
+    rows = data.draw(st.lists(
+        st.lists(values, min_size=width, max_size=width)
+        .filter(lambda r: max(r) > -np.inf),
+        min_size=T, max_size=T), label="logits")
+    beam = data.draw(st.sampled_from([None, 0, 1, 2, 3, 16]), label="beam")
+    scale = data.draw(st.sampled_from([0.5, 1, 2.0]), label="scale")
+    grid = grid_over(grid_alphabet, np.array(rows))
+    graph = build_decode_graph(alphabet, lex, g)
+    reference = support.build_decode_graph_reference(alphabet, lex, g)
+    kw = dict(beam=beam, acoustic_scale=scale)
+    assert outcome(decode, grid, graph, **kw) == outcome(
+        support.decode_reference, grid, reference, **kw
+    )

@@ -193,9 +193,11 @@ def test_text_serialization_roundtrip(tmp_path):
 
 def test_read_text_rejects_malformed(tmp_path):
     p = tmp_path / "bad.fst.txt"
-    p.write_text("0\t1\ta\n")
-    with pytest.raises(FstError):
-        Fst.read_text(p)
+    for text in ("0\t1\ta\n", "0\t1\ta\tb\tx\n", "z\t0.0\n",
+                 "-1\t0\ta\tb\t0.0\n"):
+        p.write_text("0\t0.0\n" + text)
+        with pytest.raises(FstError, match=f"^{p}:2: "):
+            Fst.read_text(p)
 
 
 def test_validate_rejects_dangling_arc():

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import support
 from phonectc.ngram import (
     EOS,
     LN10,
     NGramError,
     NGramModel,
     UNK,
-    fst_sentence_score,
     ngram_to_fst,
     train_ngram,
 )
@@ -85,14 +85,14 @@ def test_unigram_uniform_fst_path_weight():
     model = train_ngram([["a", "b"], ["b", "a"]], order=1)
     g = ngram_to_fst(model)
     want = -model.sentence_logprob(["a", "b"]) * LN10
-    assert fst_sentence_score(g, ["a", "b"]) == pytest.approx(want, abs=1e-9)
+    assert support.fst_sentence_score(g, ["a", "b"]) == pytest.approx(want, abs=1e-9)
 
 
 def test_empty_sentence_score():
     model = train_ngram([["a", "b"]], order=2)
     g = ngram_to_fst(model)
     want = -model.sentence_logprob([]) * LN10
-    assert fst_sentence_score(g, []) == pytest.approx(want, abs=1e-9)
+    assert support.fst_sentence_score(g, []) == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -105,7 +105,7 @@ def test_dual_scoring_model_vs_fst(order):
     for _ in range(50):
         sent = [vocab[i] for i in rng.integers(4, size=rng.integers(0, 6))]
         want = -model.sentence_logprob(sent) * LN10
-        assert fst_sentence_score(g, sent) == pytest.approx(want, abs=1e-9)
+        assert support.fst_sentence_score(g, sent) == pytest.approx(want, abs=1e-9)
 
 
 def test_fst_start_state_is_zero():

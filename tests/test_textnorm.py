@@ -159,3 +159,13 @@ def test_best_pronunciation_tie_break():
     lex.add("w", ["b"], 0.0)
     lex.add("w", ["a"], 0.0)
     assert lex.best_pronunciation("w") == (("a",), 0.0)
+
+
+def test_prolex_restricted_to():
+    lex = Prolex()
+    lex.add("ab", ["x", "y"], 0.5)
+    lex.add("c", ["z"])
+    lex.add("c", ["x"], 1.0)
+    kept = lex.restricted_to({"x", "y"})
+    assert kept.entries == {"ab": [(("x", "y"), 0.5)], "c": [(("x",), 1.0)]}
+    assert lex.restricted_to(set()).entries == {}
