@@ -156,7 +156,7 @@ def _apply_merge(pieces, left, right):
     return out
 
 
-def train_bpe(sentences, vocab_size, marker=DEFAULT_MARKER, extra_chars=()):
+def train_bpe(sentences, vocab_size, extra_chars=()):
     """Train BPE merges up to ``vocab_size`` total units (excluding blank).
 
     The base vocabulary is the character set of the corpus plus the marker
@@ -173,7 +173,7 @@ def train_bpe(sentences, vocab_size, marker=DEFAULT_MARKER, extra_chars=()):
             charset.update(w)
     if not words:
         raise BpeError("empty training corpus")
-    base = charset | {marker}
+    base = charset | {DEFAULT_MARKER}
     if vocab_size < len(base) + 2:
         raise BpeError(
             f"vocab_size {vocab_size} below base charset + specials "
@@ -200,4 +200,4 @@ def train_bpe(sentences, vocab_size, marker=DEFAULT_MARKER, extra_chars=()):
         }
     units = base | {UNK, BOS} | {l + r for l, r in merges}
     vocab = make_alphabet(units, kind="subword")
-    return BpeModel(merges=merges, vocab=vocab, word_boundary_marker=marker)
+    return BpeModel(merges=merges, vocab=vocab)

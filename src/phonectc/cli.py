@@ -39,11 +39,12 @@ def _write_lines(lines, out):
 
 
 def _load(loader, path):
-    """``loader(path)``; a file the loader rejects ends the command with the
-    loader's one-line message, which names the file, not a traceback."""
+    """``loader(path)``; a file that is missing, unreadable or rejected by the
+    loader ends the command with a one-line message naming the file, not a
+    traceback."""
     try:
         return loader(path)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise click.ClickException(str(err)) from err
 
 
@@ -102,7 +103,7 @@ def g2p(words, fst_path, nbest):
     from .fst import Fst
     from .textnorm import apply_g2p
 
-    transducer = Fst.read_text(fst_path)
+    transducer = _load(Fst.read_text, fst_path)
     for word in words:
         prons = apply_g2p(transducer, word, nbest=nbest)
         if not prons:
@@ -122,7 +123,7 @@ def lexicon(fst_path, words_file, out, nbest, stats):
     from .fst import Fst
     from .textnorm import build_prolex, lexicon_stats
 
-    transducer = Fst.read_text(fst_path)
+    transducer = _load(Fst.read_text, fst_path)
     words = [w for w in _read_lines(words_file) if w]
     dropped = []
     lex = build_prolex(words, transducer, nbest=nbest, report=dropped)
@@ -224,7 +225,7 @@ def lm_score(sentences, arpa_path):
     """Log10 probability of each sentence (end token included)."""
     from .ngram import NGramModel
 
-    model = NGramModel.read_arpa(arpa_path)
+    model = _load(NGramModel.read_arpa, arpa_path)
     for s in sentences:
         click.echo(f"{model.sentence_logprob(s.split())}\t{s}")
 
@@ -270,7 +271,7 @@ def graph_build(inventory_path, bpe_path, lexicon_path, arpa_path, out):
         raise click.UsageError(
             f"no pronunciation in {lexicon_path} uses only the unit source's units"
         )
-    grammar = ngram_to_fst(NGramModel.read_arpa(arpa_path))
+    grammar = ngram_to_fst(_load(NGramModel.read_arpa, arpa_path))
     g = build_decode_graph(alphabet, lex, grammar)
     g.lg.write_text(out)
     click.echo(f"{g.num_states} states")
@@ -292,7 +293,7 @@ def world():
               help="YAML overriding world-config fields.")
 def world_gen(out, seed, config_path):
     """Generate a synthetic multilingual world."""
-    from .world import SyntheticWorldConfig, generate_and_write
+    from .world import SyntheticWorldConfig, generate_world, write_world
 
     overrides = {}
     if config_path:
@@ -307,7 +308,7 @@ def world_gen(out, seed, config_path):
     }
     overrides.setdefault("seed", seed)
     config = SyntheticWorldConfig(**overrides)
-    generate_and_write(config, out)
+    write_world(generate_world(config), out)
     click.echo(f"world written to {out}")
 
 
@@ -370,7 +371,8 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
 @main.command()
 @click.option("--checkpoint", "ckpt_path", required=True)
 @click.option("--features", "feats_path", required=True,
-              help="Feature file (single matrix or utterance set).")
+              help="Feature-set file as `world gen` writes it "
+                   "(feats.<split>.bin).")
 @click.option("--graph", "graph_path", default=None,
               help="L o G decode graph (text FST from `graph build`) for "
                    "word output.")
@@ -382,24 +384,19 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
 @click.option("-o", "--out", default=None)
 def decode(ckpt_path, feats_path, graph_path, lexicon_free, beam,
            acoustic_scale, out):
-    """Decode feature matrices into word or unit sequences."""
+    """Decode each utterance of a feature set into words or units."""
     from functools import partial
 
     from .ctc import prefix_beam_search
     from .decodegraph import DecodeFailureError, DecodeGraph
     from .decodegraph import decode as graph_decode
-    from .featio import FEAT_MAGIC, read_feature_matrix, read_feature_set
+    from .featio import read_feature_set
     from .model import forward, load_checkpoint
 
     if bool(graph_path) == lexicon_free:
         raise click.UsageError("give exactly one of --graph / --lexicon-free")
     ckpt = _load(load_checkpoint, ckpt_path)
-    with open(feats_path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == FEAT_MAGIC:
-        mats = [_load(read_feature_matrix, feats_path)]
-    else:
-        mats = _load(read_feature_set, feats_path)
+    mats = _load(read_feature_set, feats_path)
     g = None
     if graph_path:
         read_graph = partial(DecodeGraph.read_text, alphabet=ckpt.alphabet)

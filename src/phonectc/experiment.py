@@ -161,32 +161,28 @@ class Pipeline:
     # training
 
     def train_languages(self, codes, seed, supervision="phoneme", bpe=None,
-                        limit=None, alphabet=None, **sched):
+                        limit=None, **sched):
         """Train a freshly initialised model on the pooled training splits
         of ``codes``, with their dev splits for validation; returns
         ``(checkpoint, history)``. ``limit`` caps each language's training
         utterances; ``bpe`` is needed under subword supervision."""
         alphabet, corpus, val = self._corpora(
-            codes, supervision, bpe, alphabet, limit
+            codes, supervision, bpe, limit=limit
         )
         ckpt = init_checkpoint(self.encoder_config, alphabet, seed=seed)
         schedule = make_schedule(len(corpus), **sched)
         return train(ckpt, corpus, schedule, seed, val_corpus=val)
 
-    def train_monolingual(self, code, seed, supervision="phoneme", bpe=None,
-                          limit=None, alphabet=None, **sched):
-        return self.train_languages([code], seed, supervision, bpe, limit,
-                                    alphabet, **sched)
+    def train_monolingual(self, code, seed, **sched):
+        return self.train_languages([code], seed, **sched)
 
     def train_multilingual_phoneme(self, seed, **sched):
         return self.train_languages(self.world.seen_codes, seed, **sched)
 
-    def train_bpe_model(self, seed, vocab_size, beta=0.5):
+    def train_bpe_model(self, seed, vocab_size):
         codes = self.world.seen_codes
         corpora = {c: self.world.languages[c].sentences["train"] for c in codes}
-        stats = LanguageStats(
-            counts={c: len(corpora[c]) for c in codes}, beta=beta
-        )
+        stats = LanguageStats(counts={c: len(corpora[c]) for c in codes})
         total = sum(len(s) for s in corpora.values())
         sampled = sample_corpus(corpora, stats, total, seed)
         chars = {
@@ -212,10 +208,8 @@ class Pipeline:
         schedule = make_schedule(len(corpus), **sched)
         return train(ckpt, corpus, schedule, seed, val_corpus=val)
 
-    def train_scratch(self, code, seed, n_utts=None, supervision="phoneme",
-                      bpe=None, alphabet=None, **sched):
-        return self.train_languages([code], seed, supervision, bpe, n_utts,
-                                    alphabet, **sched)
+    def train_scratch(self, code, seed, n_utts=None, **sched):
+        return self.train_languages([code], seed, limit=n_utts, **sched)
 
     # ------------------------------------------------------------------
     # evaluation

@@ -1,9 +1,8 @@
-"""Binary feature-matrix files.
+"""Binary feature-set files: the utterances of one world split.
 
-Single matrix: magic ``FEAT``, uint32 T, uint32 dim, row-major little-endian
-float32 data. World split files pack many utterances: magic ``FTS0``, uint32
-count, then ``count`` single-matrix records without their magic. Readers
-reject a file that ends early or carries bytes past its last record.
+Magic ``FTS0``, uint32 count, then ``count`` records of uint32 T, uint32
+dim and T x dim row-major little-endian float32 data. The reader rejects a
+file that ends early or carries bytes past its last record.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import struct
 
 import numpy as np
 
-FEAT_MAGIC = b"FEAT"
 SET_MAGIC = b"FTS0"
 
 
@@ -49,27 +47,10 @@ class BinaryReader:
             )
 
 
-def write_feature_matrix(path, feats):
-    feats = np.ascontiguousarray(feats, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(FEAT_MAGIC)
-        fh.write(struct.pack("<II", *feats.shape))
-        fh.write(feats.tobytes())
-
-
 def _read_record(reader):
     t, dim = reader.unpack("<II")
     data = np.frombuffer(reader.read(4 * t * dim), dtype="<f4")
     return data.reshape(t, dim).astype(np.float64)
-
-
-def read_feature_matrix(path):
-    reader = BinaryReader(path)
-    if reader.read(4) != FEAT_MAGIC:
-        raise ValueError(f"{path}: not a feature file")
-    feats = _read_record(reader)
-    reader.expect_end()
-    return feats
 
 
 def write_feature_set(path, matrices):

@@ -105,6 +105,9 @@ class Fst:
                     raise FstError(f"arc from {src} targets missing state {dst}")
                 if not math.isfinite(w):
                     raise FstError(f"non-finite arc weight at state {src}")
+        for state, w in self.finals.items():
+            if not math.isfinite(w):
+                raise FstError(f"non-finite final weight at state {state}")
         return self
 
     # ------------------------------------------------------------------

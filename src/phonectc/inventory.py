@@ -123,18 +123,6 @@ def build_union_alphabet(inventories, kind="phoneme"):
     return make_alphabet(union, kind=kind)
 
 
-def split_shared_novel(multi, cross):
-    """Partition a target-language inventory against a pretraining alphabet.
-
-    Returns ``(shared, novel)`` where shared units already have embeddings in
-    the pretrained model and novel units need fresh ones.
-    """
-    multi_units = set(multi.units[1:])
-    shared = cross.units & multi_units
-    novel = cross.units - multi_units
-    return shared, novel
-
-
 def read_inventory(path, language_code=None):
     """Read a one-symbol-per-line inventory file (blank never stored)."""
     units = []

@@ -18,12 +18,6 @@ class ErrorCounts:
     def total(self):
         return self.substitutions + self.deletions + self.insertions
 
-    @property
-    def rate(self):
-        if self.reference_length <= 0:
-            raise ValueError("reference length must be positive for a rate")
-        return self.total / self.reference_length
-
 
 def edit_distance(reference, hypothesis):
     """Minimal unit-cost alignment counts.
@@ -74,14 +68,6 @@ def corpus_rate(pairs):
     if total_ref <= 0:
         raise ValueError("total reference length is zero")
     return 100.0 * total_errors / total_ref
-
-
-def macro_rate(pairs):
-    """Per-utterance average percentage rate (companion to pooled rate)."""
-    rates = [100.0 * edit_distance(r, h).rate for r, h in pairs]
-    if not rates:
-        raise ValueError("no pairs")
-    return float(np.mean(rates))
 
 
 def ward(avg_wer_after, avg_wer_before):

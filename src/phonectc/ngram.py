@@ -40,12 +40,6 @@ class NGramModel:
     def _map(self, word):
         return word if word in self.vocabulary else UNK
 
-    def word_logprob(self, context, word):
-        """Backoff log10 probability of ``word`` after ``context``."""
-        word = self._map(word)
-        context = tuple(self._map(w) for w in context)[-(self.order - 1) :]
-        return _score(self.entries, context, word)
-
     def sentence_logprob(self, words):
         """log10 probability of the sentence including the end token."""
         tokens = [self._map(w) for w in words] + [EOS]
@@ -88,56 +82,61 @@ class NGramModel:
 
     @classmethod
     def read_arpa(cls, path):
+        """The model in an ARPA file as ``write_arpa`` writes it. A line that
+        cannot be parsed, or a file without n-gram entries, raises
+        NGramError naming the file."""
         entries = {}
         order = 0
         with open(path, encoding="utf-8") as fh:
             section = None
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line == "\\data\\" or line.startswith("ngram "):
                     continue
                 if line == "\\end\\":
                     break
-                if line.endswith("-grams:"):
-                    section = int(line[1 : line.index("-")])
-                    order = max(order, section)
-                    continue
-                if section is None:
-                    continue
-                parts = line.split("\t")
-                p = float(parts[0])
-                ngram = tuple(parts[1].split(" "))
-                bow = float(parts[2]) if len(parts) > 2 else None
-                entries[ngram] = (p, bow)
+                try:
+                    if line.endswith("-grams:"):
+                        section = int(line[1 : line.index("-")])
+                        order = max(order, section)
+                        continue
+                    if section is None:
+                        continue
+                    parts = line.split("\t")
+                    if len(parts) not in (2, 3):
+                        raise ValueError("malformed n-gram line")
+                    p = float(parts[0])
+                    bow = float(parts[2]) if len(parts) > 2 else None
+                except ValueError as err:
+                    raise NGramError(f"{path}:{lineno}: {err}") from None
+                entries[tuple(parts[1].split(" "))] = (p, bow)
+        if not entries:
+            raise NGramError(f"{path}: no n-gram entries, so not an ARPA file")
         vocab = frozenset(g[0] for g in entries if len(g) == 1)
         return cls(order=order, entries=entries, vocabulary=vocab)
 
 
-def train_ngram(sentences, order=DEFAULT_ORDER, include_boundaries=True,
-                extra_vocab=()):
-    """Witten-Bell n-gram model from tokenized sentences.
+def train_ngram(sentences, order=DEFAULT_ORDER, extra_vocab=()):
+    """Witten-Bell n-gram model from tokenized sentences, each padded with
+    <s> and </s>.
 
-    ``include_boundaries=False`` trains on raw token streams without
-    <s>/</s> padding (useful for plain unigram statistics). ``extra_vocab``
-    adds words to the vocabulary even when the corpus never shows them;
-    they share the held-out unigram mass like <unk>, which keeps the
-    exported grammar open to every lexicon word.
+    ``extra_vocab`` adds words to the vocabulary even when the corpus never
+    shows them; they share the held-out unigram mass like <unk>, which keeps
+    the exported grammar open to every lexicon word.
     """
     sentences = [list(s) for s in sentences]
     if not sentences or all(not s for s in sentences):
         raise NGramError("empty training corpus")
     counts = [Counter() for _ in range(order + 1)]  # index by n
     for sent in sentences:
-        padded = [BOS] + sent + [EOS] if include_boundaries else list(sent)
+        padded = [BOS] + sent + [EOS]
         for n in range(1, order + 1):
             for i in range(len(padded) - n + 1):
                 gram = tuple(padded[i : i + n])
                 if n == 1 and gram[0] == BOS:
                     continue
                 counts[n][gram] += 1
-    vocab = {w for g in counts[1] for w in g} | {UNK} | set(extra_vocab)
-    if include_boundaries:
-        vocab |= {EOS, BOS}
+    vocab = {w for g in counts[1] for w in g} | {UNK, EOS, BOS} | set(extra_vocab)
     entries = {}
 
     # unigram level: Witten-Bell over the whole stream, leftover mass
@@ -156,8 +155,7 @@ def train_ngram(sentences, order=DEFAULT_ORDER, include_boundaries=True,
         unigram_p[w] = leftover / len(unseen)
     for w, p in unigram_p.items():
         entries[(w,)] = (math.log10(p) if p > 0 else LOG10_MIN, None)
-    if include_boundaries:
-        entries[(BOS,)] = (LOG10_MIN, None)
+    entries[(BOS,)] = (LOG10_MIN, None)
 
     for n in range(2, order + 1):
         contexts = {}
@@ -216,11 +214,12 @@ def ngram_to_fst(model):
     for ngram in model.entries:
         if len(ngram) < model.order:
             contexts.add(ngram)
-    state_of = {}
-    for ctx in sorted(contexts, key=lambda c: (len(c), c)):
-        state_of[ctx] = g.add_state()
-    # reorder so state 0 is the start context
-    start_ctx = (BOS,) if (BOS,) in state_of else ()
+    ordered = sorted(contexts, key=lambda c: (len(c), c))
+    if (BOS,) in contexts:
+        # the start context takes state 0 and the empty context its place
+        i = ordered.index((BOS,))
+        ordered[0], ordered[i] = ordered[i], ordered[0]
+    state_of = {ctx: g.add_state() for ctx in ordered}
 
     def dest_context(ngram):
         for i in range(len(ngram)):
@@ -246,22 +245,4 @@ def ngram_to_fst(model):
         if bow is None:
             bow = 0.0
         g.add_arc(state_of[ctx], "<eps>", "<eps>", -bow * LN10, state_of[ctx[1:]])
-    # swap states so the start context occupies state 0
-    if state_of[start_ctx] != 0:
-        g = _swap_start(g, state_of[start_ctx])
     return g.validate()
-
-
-def _swap_start(g, start_state):
-    perm = list(range(g.num_states))
-    perm[0], perm[start_state] = perm[start_state], perm[0]
-    inv = {old: new for new, old in enumerate(perm)}
-    out = Fst(isyms=g.isyms, osyms=g.osyms)
-    for _ in range(g.num_states):
-        out.add_state()
-    for src, arcs in enumerate(g.arcs):
-        for il, ol, w, dst in arcs:
-            out.add_arc_ids(inv[src], il, ol, w, inv[dst])
-    for s, w in g.finals.items():
-        out.set_final(inv[s], w)
-    return out

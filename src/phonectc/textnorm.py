@@ -182,26 +182,3 @@ def lexicon_stats(prolex):
         "homophone_rate": homophones / entries,
         "avg_prons_per_word": nprons / entries,
     }
-
-
-def phonemize_corpus(sentences, prolex, report=None):
-    """Best-pronunciation phoneme sequence per sentence; OOV sentences skipped.
-
-    ``report`` (optional list) collects (sentence index, offending word).
-    """
-    out = []
-    for idx, sentence in enumerate(sentences):
-        words = sentence.split()
-        phones = []
-        oov = None
-        for w in words:
-            if w not in prolex:
-                oov = w
-                break
-            phones.extend(prolex.best_pronunciation(w)[0])
-        if oov is not None:
-            if report is not None:
-                report.append((idx, oov))
-            continue
-        out.append(tuple(phones))
-    return out

@@ -328,7 +328,3 @@ def load_world(path):
         config=config, universal=manifest["universal"], prototypes=prototypes,
         languages=languages,
     )
-
-
-def generate_and_write(config, out_dir):
-    return write_world(generate_world(config), out_dir)

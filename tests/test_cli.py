@@ -13,7 +13,7 @@ def runner():
 
 @pytest.fixture(scope="module")
 def world_dir(tmp_path_factory):
-    from phonectc.world import SyntheticWorldConfig, generate_and_write
+    from phonectc.world import SyntheticWorldConfig, generate_world, write_world
 
     cfg = SyntheticWorldConfig(
         num_seen_languages=2,
@@ -23,7 +23,7 @@ def world_dir(tmp_path_factory):
         lexicon_size_range=(10, 12),
         seed=8,
     )
-    return str(generate_and_write(cfg, tmp_path_factory.mktemp("world")))
+    return str(write_world(generate_world(cfg), tmp_path_factory.mktemp("world")))
 
 
 def test_normalize_stdin(runner):
@@ -298,7 +298,10 @@ def test_train_subword_writes_bpe_model(runner, world_dir, tmp_path):
 @pytest.fixture
 def damaged_files(tmp_path):
     """A good checkpoint, plus a checkpoint and a feature set that each
-    carry two trailing bytes."""
+    carry two trailing bytes, a single-matrix file with a FEAT magic,
+    which is not a feature set, and a path where no file is."""
+    import struct
+
     import numpy as np
 
     from phonectc.featio import write_feature_set
@@ -315,8 +318,11 @@ def damaged_files(tmp_path):
     good_feats = tmp_path / "good.bin"
     good_feats.write_bytes(feats.read_bytes())
     feats.write_bytes(feats.read_bytes() + b"\0\0")
+    matrix = tmp_path / "matrix.bin"
+    matrix.write_bytes(b"FEAT" + struct.pack("<II", 3, 4) + bytes(4 * 3 * 4))
     return {"good": str(good), "bad": str(bad), "feats": str(feats),
-            "good_feats": str(good_feats), "out": str(tmp_path / "out")}
+            "good_feats": str(good_feats), "matrix": str(matrix),
+            "missing": str(tmp_path / "missing"), "out": str(tmp_path / "out")}
 
 
 @pytest.fixture
@@ -352,8 +358,20 @@ def graph_files(tmp_path):
       "--graph", "{old_graph}"], "old_graph"),
     (["decode", "--checkpoint", "{good}", "--features", "{good_feats}",
       "--graph", "{malformed_graph}"], "malformed_graph"),
+    (["decode", "--checkpoint", "{missing}", "--features", "{good_feats}",
+      "--lexicon-free"], "missing"),
+    (["decode", "--checkpoint", "{good}", "--features", "{good_feats}",
+      "--graph", "{missing}"], "missing"),
+    (["decode", "--checkpoint", "{good}", "--features", "{matrix}",
+      "--lexicon-free"], "matrix"),
+    (["g2p", "--fst", "{malformed_graph}", "ab"], "malformed_graph"),
+    (["lexicon", "--g2p", "{malformed_graph}", "--words", "{missing}",
+      "-o", "{out}"], "malformed_graph"),
+    (["lm", "score", "--arpa", "{old_graph}", "a"], "old_graph"),
 ], ids=["decode-checkpoint", "decode-features", "finetune", "embeddings-export",
-        "decode-old-graph", "decode-malformed-graph"])
+        "decode-old-graph", "decode-malformed-graph", "decode-missing-checkpoint",
+        "decode-missing-graph", "decode-feature-matrix", "g2p-malformed-fst",
+        "lexicon-malformed-g2p", "lm-score-not-arpa"])
 def test_damaged_input_file_is_a_one_line_error(runner, world_dir, damaged_files,
                                                 graph_files, args, culprit):
     files = {**damaged_files, **graph_files, "world": world_dir}

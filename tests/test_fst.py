@@ -198,6 +198,10 @@ def test_read_text_rejects_malformed(tmp_path):
         p.write_text("0\t0.0\n" + text)
         with pytest.raises(FstError, match=f"^{p}:2: "):
             Fst.read_text(p)
+    for weight in ("nan", "inf"):
+        p.write_text(f"0\t1\ta\tb\t0.0\n1\t{weight}\n")
+        with pytest.raises(FstError, match=f"^{p}: non-finite final weight"):
+            Fst.read_text(p)
 
 
 def test_validate_rejects_dangling_arc():

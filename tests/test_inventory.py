@@ -9,7 +9,6 @@ from phonectc.inventory import (
     build_union_alphabet,
     make_alphabet,
     read_inventory,
-    split_shared_novel,
     write_inventory,
 )
 
@@ -77,22 +76,6 @@ def test_encode_decode_roundtrip():
     a = make_alphabet({"a", "b", "c"})
     seq = ["c", "a", "a", "b"]
     assert a.decode(a.encode(seq)) == seq
-
-
-def test_split_shared_novel():
-    multi = build_union_alphabet([LanguageInventory("m", {"a", "b", "c"})])
-    cross = LanguageInventory("x", {"b", "c", "d", "e"})
-    shared, novel = split_shared_novel(multi, cross)
-    assert shared == {"b", "c"}
-    assert novel == {"d", "e"}
-
-
-def test_split_self_intersection_has_no_novel():
-    multi = build_union_alphabet([LanguageInventory("m", {"a", "b"})])
-    cross = LanguageInventory("m", {"a", "b"})
-    shared, novel = split_shared_novel(multi, cross)
-    assert shared == {"a", "b"}
-    assert novel == set()
 
 
 def test_inventory_file_roundtrip(tmp_path):

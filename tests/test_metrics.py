@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 import support
 from phonectc.metrics import (
-    ErrorCounts,
     corpus_rate,
     edit_distance,
-    macro_rate,
     ripo_rrwer,
     ward,
 )
@@ -18,7 +16,6 @@ from phonectc.metrics import (
 def test_single_substitution():
     c = edit_distance(["a", "b", "c"], ["a", "x", "c"])
     assert (c.substitutions, c.deletions, c.insertions) == (1, 0, 0)
-    assert c.rate == pytest.approx(1 / 3)
 
 
 def test_identity():
@@ -53,11 +50,6 @@ def test_counts_are_consistent(ref, hyp):
     assert c.total <= max(len(ref), len(hyp))
 
 
-def test_rate_requires_reference():
-    with pytest.raises(ValueError):
-        ErrorCounts(0, 0, 1, 0).rate
-
-
 def test_corpus_rate_single_pair():
     assert corpus_rate([(["a", "b", "c"], ["a", "x", "c"])]) == pytest.approx(
         33.333333, abs=1e-4
@@ -79,14 +71,6 @@ def test_corpus_rate_all_correct():
 def test_corpus_rate_empty_reference():
     with pytest.raises(ValueError):
         corpus_rate([([], ["a"])])
-
-
-def test_macro_vs_pooled():
-    pairs = [
-        (list("abcd"), list("abcx")),
-        (list("abcdef"), list("abcdex")),
-    ]
-    assert macro_rate(pairs) == pytest.approx(100 * (0.25 + 1 / 6) / 2)
 
 
 def test_ward_reference_value():

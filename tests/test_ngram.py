@@ -23,12 +23,13 @@ def random_corpus(rng, vocab, n_sents, max_len=6):
 
 
 def test_unigram_ml_before_smoothing_mass():
-    model = train_ngram([["a", "a", "b"]], order=1, include_boundaries=False)
-    # Witten-Bell unigram: P(a) = c(a)/(N + T) = 2/(3+2)
-    assert 10 ** model.prob(("a",)) == pytest.approx(2 / 5)
-    assert 10 ** model.prob(("b",)) == pytest.approx(1 / 5)
+    model = train_ngram([["a", "a", "b"]], order=1)
+    # Witten-Bell unigram over "a a b </s>": P(a) = c(a)/(N + T) = 2/(4+3)
+    assert 10 ** model.prob(("a",)) == pytest.approx(2 / 7)
+    assert 10 ** model.prob(("b",)) == pytest.approx(1 / 7)
+    assert 10 ** model.prob((EOS,)) == pytest.approx(1 / 7)
     # held-out mass T/(N+T) goes to the unseen vocabulary (<unk>)
-    assert 10 ** model.prob((UNK,)) == pytest.approx(2 / 5)
+    assert 10 ** model.prob((UNK,)) == pytest.approx(3 / 7)
 
 
 def test_bigram_witten_bell_hand_value():
@@ -49,7 +50,7 @@ def test_conditional_distributions_sum_to_one():
 
 def test_unknown_word_backs_off_to_unk():
     model = train_ngram([["a", "b"]], order=2)
-    assert model.word_logprob(("a",), "zzz") == model.word_logprob(("a",), UNK)
+    assert model.sentence_logprob(["a", "zzz"]) == model.sentence_logprob(["a", UNK])
 
 
 def test_extra_vocab_words_get_unigram_mass():
@@ -77,6 +78,17 @@ def test_arpa_roundtrip(tmp_path):
         assert back.sentence_logprob(s) == pytest.approx(
             model.sentence_logprob(s), abs=1e-6
         )
+
+
+def test_read_arpa_rejects_a_file_that_is_not_arpa(tmp_path):
+    p = tmp_path / "lm.arpa"
+    p.write_text("0\t1\ta\ta\t0.5\n1\t0.0\n")  # an FST text file
+    with pytest.raises(NGramError, match=f"^{p}: no n-gram entries"):
+        NGramModel.read_arpa(p)
+    for text in ("-0.3\n", "x\ta\n", "-0.3\ta\ty\n", "-0.3\ta\t0.1\t0.2\n"):
+        p.write_text("\\data\\\n\\1-grams:\n" + text)
+        with pytest.raises(NGramError, match=f"^{p}:3: "):
+            NGramModel.read_arpa(p)
 
 
 def test_unigram_uniform_fst_path_weight():

@@ -11,7 +11,6 @@ from phonectc.textnorm import (
     build_prolex,
     lexicon_stats,
     normalize,
-    phonemize_corpus,
 )
 
 
@@ -119,25 +118,6 @@ def test_lexicon_stats_no_homophones():
     lex.add("a", ["x"])
     lex.add("b", ["y"])
     assert lexicon_stats(lex)["homophone_rate"] == 0.0
-
-
-def test_phonemize_corpus():
-    lex = Prolex()
-    lex.add("ab", ["x", "y"])
-    assert phonemize_corpus(["ab ab"], lex) == [("x", "y", "x", "y")]
-
-
-def test_phonemize_corpus_empty():
-    assert phonemize_corpus([], Prolex()) == []
-
-
-def test_phonemize_corpus_skips_oov():
-    lex = Prolex()
-    lex.add("ab", ["x"])
-    report = []
-    out = phonemize_corpus(["ab", "ab cd"], lex, report=report)
-    assert out == [("x",)]
-    assert report == [(1, "cd")]
 
 
 def test_prolex_tsv_roundtrip(tmp_path):

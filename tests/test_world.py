@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from phonectc.featio import (
-    read_feature_matrix,
-    read_feature_set,
-    write_feature_matrix,
-    write_feature_set,
-)
+from phonectc.featio import read_feature_set, write_feature_set
 from phonectc.textnorm import apply_g2p, lexicon_stats
 from phonectc.world import (
     SyntheticWorldConfig,
@@ -35,15 +30,6 @@ def world():
     return generate_world(SMALL)
 
 
-def test_feature_matrix_roundtrip(tmp_path):
-    x = np.random.default_rng(0).normal(size=(7, 3)).astype(np.float32)
-    p = tmp_path / "f.bin"
-    write_feature_matrix(p, x)
-    back = read_feature_matrix(p)
-    assert back.shape == (7, 3)
-    assert np.allclose(back, x, atol=1e-7)
-
-
 def test_feature_set_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     mats = [rng.normal(size=(t, 4)) for t in (3, 9, 1)]
@@ -59,8 +45,6 @@ def test_feature_magic_checked(tmp_path):
     p = tmp_path / "x.bin"
     p.write_bytes(b"JUNKJUNK")
     with pytest.raises(ValueError):
-        read_feature_matrix(p)
-    with pytest.raises(ValueError):
         read_feature_set(p)
 
 
@@ -68,20 +52,17 @@ def test_feature_magic_checked(tmp_path):
 def feature_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("feats")
     rng = np.random.default_rng(2)
-    write_feature_matrix(d / "m.bin", rng.normal(size=(5, 3)))
     write_feature_set(d / "s.bin", [rng.normal(size=(t, 3)) for t in (4, 1, 6)])
-    return {read_feature_matrix: (d / "m.bin").read_bytes(),
-            read_feature_set: (d / "s.bin").read_bytes()}
+    return (d / "s.bin").read_bytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_damaged_feature_file_names_path(tmp_path_factory, feature_files, data):
-    reader = data.draw(st.sampled_from(list(feature_files)))
     path = tmp_path_factory.mktemp("bad") / "bad.bin"
-    path.write_bytes(support.damage(feature_files[reader], data))
+    path.write_bytes(support.damage(feature_files, data))
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        reader(path)
+        read_feature_set(path)
 
 
 def test_world_shape(world):
