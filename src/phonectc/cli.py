@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 
 import click
 import yaml
@@ -24,6 +24,10 @@ def main():
 def _read_lines(path):
     if path is None or path == "-":
         return [l.rstrip("\n") for l in sys.stdin]
+    return _load(_file_lines, path)
+
+
+def _file_lines(path):
     with open(path, encoding="utf-8") as fh:
         return [l.rstrip("\n") for l in fh]
 
@@ -45,7 +49,36 @@ def _load(loader, path):
     try:
         return loader(path)
     except (OSError, ValueError) as err:
-        raise click.ClickException(str(err)) from err
+        message = str(err)
+        if str(path) not in message:
+            message = f"{path}: {message}"
+        raise click.ClickException(message) from err
+
+
+def _read_yaml(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return yaml.safe_load(fh) or {}
+        except yaml.YAMLError as err:
+            raise ValueError(" ".join(str(err).split())) from err
+
+
+def _config(cls, path, **defaults):
+    """``cls`` from ``defaults`` and, over them, the fields that the YAML
+    mapping at ``path`` sets, lists read as tuples. A file that cannot be
+    read or parsed, or that sets an unknown field or a value ``cls`` rejects,
+    ends the command with a one-line error."""
+    raw = _load(_read_yaml, path) if path else {}
+    if not isinstance(raw, dict):
+        raise click.UsageError(
+            f"{path}: expected a mapping of config fields, "
+            f"got {type(raw).__name__}"
+        )
+    raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+    try:
+        return cls(**{**defaults, **raw})
+    except (TypeError, ValueError) as err:
+        raise click.UsageError(f"{path}: {err}") from err
 
 
 def _check_codes(world, codes):
@@ -177,7 +210,7 @@ def tokenizer_encode(input_file, model_path, out):
     """Encode text lines into space-separated subword tokens."""
     from .bpe import BpeModel
 
-    model = BpeModel.load(model_path)
+    model = _load(BpeModel.load, model_path)
     _write_lines(
         [" ".join(model.encode(l)) for l in _read_lines(input_file)], out
     )
@@ -209,7 +242,7 @@ def lm_train(input_file, order, out, fst_out, lexicon_path):
     if lexicon_path:
         from .textnorm import Prolex
 
-        extra = Prolex.read_tsv(lexicon_path).words()
+        extra = _load(Prolex.read_tsv, lexicon_path).words()
     sentences = [l.split() for l in _read_lines(input_file) if l.strip()]
     model = train_ngram(sentences, order=order, extra_vocab=extra)
     model.write_arpa(out)
@@ -252,7 +285,7 @@ def graph_build(inventory_path, bpe_path, lexicon_path, arpa_path, out):
 
     Pronunciations with units outside the unit source are dropped. The file
     holds no CTC topology: `decode --graph` applies it over the checkpoint's
-    units, so a graph is decoded over the units both have."""
+    alphabet."""
     from .decodegraph import build_decode_graph
     from .inventory import make_alphabet, read_inventory
     from .ngram import NGramModel, ngram_to_fst
@@ -261,18 +294,19 @@ def graph_build(inventory_path, bpe_path, lexicon_path, arpa_path, out):
     if (inventory_path is None) == (bpe_path is None):
         raise click.UsageError("give exactly one of --inventory / --bpe-model")
     if inventory_path:
-        alphabet = make_alphabet(read_inventory(inventory_path).units)
+        alphabet = make_alphabet(_load(read_inventory, inventory_path).units)
     else:
         from .bpe import BpeModel
 
-        alphabet = BpeModel.load(bpe_path).vocab
-    lex = Prolex.read_tsv(lexicon_path).restricted_to(alphabet)
-    if not lex.entries:
+        alphabet = _load(BpeModel.load, bpe_path).vocab
+    lex = _load(Prolex.read_tsv, lexicon_path)
+    grammar = ngram_to_fst(_load(NGramModel.read_arpa, arpa_path))
+    try:
+        g = build_decode_graph(alphabet, lex, grammar)
+    except ValueError as err:  # no pronunciation left to build L from
         raise click.UsageError(
             f"no pronunciation in {lexicon_path} uses only the unit source's units"
-        )
-    grammar = ngram_to_fst(_load(NGramModel.read_arpa, arpa_path))
-    g = build_decode_graph(alphabet, lex, grammar)
+        ) from err
     g.lg.write_text(out)
     click.echo(f"{g.num_states} states")
 
@@ -295,19 +329,7 @@ def world_gen(out, seed, config_path):
     """Generate a synthetic multilingual world."""
     from .world import SyntheticWorldConfig, generate_world, write_world
 
-    overrides = {}
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            overrides = yaml.safe_load(fh) or {}
-    known = {f.name for f in dataclass_fields(SyntheticWorldConfig)}
-    bad = set(overrides) - known
-    if bad:
-        raise click.UsageError(f"unknown world config keys: {sorted(bad)}")
-    overrides = {
-        k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()
-    }
-    overrides.setdefault("seed", seed)
-    config = SyntheticWorldConfig(**overrides)
+    config = _config(SyntheticWorldConfig, config_path, seed=seed)
     write_world(generate_world(config), out)
     click.echo(f"world written to {out}")
 
@@ -327,7 +349,7 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
     from .model import save_checkpoint
     from .world import load_world
 
-    pipe = Pipeline(load_world(world_dir))
+    pipe = Pipeline(_load(load_world, world_dir))
     codes = pipe.world.seen_codes if language == "all-seen" else [language]
     _check_codes(pipe.world, codes)
     bpe = None
@@ -359,7 +381,7 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     from .model import load_checkpoint, save_checkpoint
     from .world import load_world
 
-    pipe = Pipeline(load_world(world_dir))
+    pipe = Pipeline(_load(load_world, world_dir))
     _check_codes(pipe.world, [language])
     base = _load(load_checkpoint, pretrained_path)
     n = utterances or None
@@ -476,22 +498,13 @@ def experiment_run(world_dir, config_path, out):
     from .experiment import ExperimentConfig, run_experiment
     from .world import WorldError, load_world
 
-    with open(config_path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    known = {f.name for f in dataclass_fields(ExperimentConfig)}
-    bad = set(raw) - known
-    if bad:
-        raise click.UsageError(f"unknown experiment config keys: {sorted(bad)}")
-    raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+    config = _config(ExperimentConfig, config_path)
     if out:
-        raw["output_dir"] = out
-    try:
-        config = ExperimentConfig(**raw)
-    except (TypeError, ValueError) as err:
-        raise click.UsageError(str(err))
+        config = replace(config, output_dir=out)
+    world = _load(load_world, world_dir)
     try:
         # run_experiment checks the config's language codes before any work
-        report = run_experiment(load_world(world_dir), config)
+        report = run_experiment(world, config)
     except WorldError as err:
         raise click.UsageError(str(err)) from err
     click.echo(json.dumps(report, ensure_ascii=False, sort_keys=True))

@@ -6,7 +6,8 @@ concatenation, and the n-gram grammar acceptor G. Disambiguation symbols
 keep homophones and pronunciation prefixes apart inside L and are erased
 after composition. Only L o G is built; ``decode`` applies T on the fly, as
 EESEN does (Miao, Gowayyed & Metze, 2015), walking the states and arcs of
-the epsilon-filtered composition T o (L o G) without building it.
+the epsilon-filtered composition T o (L o G) without building it. T, L and
+the decoded grids share one alphabet: L keeps the pronunciations it spells.
 """
 
 from __future__ import annotations
@@ -89,21 +90,18 @@ def disambiguation_symbols(l):
 
 
 class DecodeGraph:
-    """L o G with disambiguation symbols erased, and the alphabet whose
-    non-blank units T is built over.
+    """L o G with disambiguation symbols erased, and the alphabet T is built
+    over: the only alphabet its grids may have.
 
-    T's units stay the build alphabet's: an L o G arc whose unit is not in
-    it is never taken, and neither is one whose unit the decoded grid's
-    alphabet lacks. A graph file holds L o G alone, so ``read_text`` takes
-    T's alphabet from the caller. The CLI passes the decoding checkpoint's,
-    and ``graph build`` drops the pronunciations its unit source lacks, so
-    a graph file is decoded over the units that both have.
+    A graph file holds L o G alone, so ``read_text`` takes the alphabet from
+    the caller; the CLI passes the decoding checkpoint's. An L o G arc whose
+    unit the alphabet lacks is never taken.
     """
 
     def __init__(self, lg, alphabet):
         self.lg = lg
         self.alphabet = alphabet
-        self._tables = {}  # grid alphabet units -> _ArcTables
+        self._arc_tables = None  # (eps, units), built on the first decode
 
     @property
     def num_states(self):
@@ -125,56 +123,40 @@ class DecodeGraph:
             )
         return cls(lg, alphabet)
 
-    def tables(self, grid_alphabet):
-        """Arc tables for grids over ``grid_alphabet``, built on first use."""
-        tables = self._tables.get(grid_alphabet.units)
-        if tables is None:
-            tables = _ArcTables(self.lg, self.alphabet, grid_alphabet)
-            self._tables[grid_alphabet.units] = tables
-        return tables
 
-
-class _ArcTables:
-    """Per-L o G-state arcs with labels resolved for one grid alphabet.
+def _resolve_arcs(lg, alphabet):
+    """Per-L o G-state arcs with labels resolved to grid columns.
 
     A T state is the grid column of the last unit T emitted, or 0 (the
-    blank's column) at the start and after a blank. Per L o G state:
-    ``eps`` holds the epsilon-input arcs as (words, weight, dst),
-    ``joined`` the same arcs weighted 0.0 + weight for moves joined with a
-    T epsilon-output arc, ``units`` the arcs T can feed, in the build
-    alphabet's unit order, as (column, words, 0.0 + weight, dst), and
-    ``finals`` the final weight 0.0 + weight or None. T's arcs weigh 0.0.
+    blank's column) at the start and after a blank. Returns two tables,
+    indexed by L o G state: the epsilon-input arcs as (words, weight, dst),
+    and the arcs whose unit is in the alphabet, in T's unit order, which is
+    column order, as (column, words, weight, dst). T's arcs weigh 0.0 and
+    are left out of every sum: adding 0.0 changes only a -0.0, and no token
+    cost is -0.0.
     """
-
-    def __init__(self, lg, alphabet, grid_alphabet):
-        rank = {}  # L o G input label -> (order in T, grid column)
-        for order, unit in enumerate(alphabet.non_blank_units()):
-            if unit in lg.isyms and unit in grid_alphabet:
-                rank[lg.isyms.id(unit)] = (order, grid_alphabet.index_of(unit))
-        self.eps, self.joined, self.units = [], [], []
-        for arcs in lg.arcs:
-            eps, joined, units = [], [], []
-            for il, ol, w, dst in arcs:
-                words = () if ol == 0 else (lg.osyms.symbol(ol),)
-                if il == 0:
-                    eps.append((words, w, dst))
-                    joined.append((words, 0.0 + w, dst))
-                elif il in rank:
-                    units.append((rank[il], words, 0.0 + w, dst))
-            units.sort(key=itemgetter(0))  # stable: arc order within a unit
-            self.eps.append(eps)
-            self.joined.append(joined)
-            self.units.append([(col, words, w, dst)
-                               for (_, col), words, w, dst in units])
-        self.finals = [None] * lg.num_states
-        for state, w in lg.finals.items():
-            self.finals[state] = 0.0 + w
+    column = {lg.isyms.id(unit): alphabet.index_of(unit)
+              for unit in alphabet.non_blank_units() if unit in lg.isyms}
+    eps_table, unit_table = [], []
+    for arcs in lg.arcs:
+        eps, units = [], []
+        for il, ol, w, dst in arcs:
+            words = () if ol == 0 else (lg.osyms.symbol(ol),)
+            if il == 0:
+                eps.append((words, w, dst))
+            elif il in column:
+                units.append((column[il], words, w, dst))
+        units.sort(key=itemgetter(0))  # stable: arc order within a unit
+        eps_table.append(eps)
+        unit_table.append(units)
+    return eps_table, unit_table
 
 
 def build_decode_graph(alphabet, prolex, grammar):
-    """L o G with disambiguation symbols erased after composition; ``decode``
-    applies T over ``alphabet``'s units."""
-    l = build_lexicon_fst(prolex)
+    """L o G with disambiguation symbols erased after composition, over the
+    pronunciations ``alphabet`` can spell; ``decode`` applies T over
+    ``alphabet``'s units. Raises ValueError when no pronunciation is left."""
+    l = build_lexicon_fst(prolex.restricted_to(alphabet))
     lg = compose(l, grammar)
     lg.relabel_input_to_eps(disambiguation_symbols(l))
     return DecodeGraph(lg, alphabet)
@@ -219,13 +201,15 @@ def decode(grid, graph, beam=DEFAULT_BEAM, acoustic_scale=1.0):
     disables pruning), the cut keeping ties in arrival order. An epsilon
     closure that makes more than 50 M**2 relaxations is taken to be a
     negative epsilon cycle, where M = 3 (1 + |U|) |LG| bounds the token
-    keys for the |U| units of the build alphabet and the |LG| states of
-    L o G. Returns (word sequence, total weight).
+    keys for the |U| units of the graph's alphabet and the |LG| states of
+    L o G. Returns (word sequence, total weight). A grid over any alphabet
+    but the graph's, or with none, is a ValueError.
     """
-    if grid.alphabet is None:
-        raise ValueError("grid must carry its alphabet for graph decoding")
-    tables = graph.tables(grid.alphabet)
-    eps, joined, units = tables.eps, tables.joined, tables.units
+    if grid.alphabet != graph.alphabet:
+        raise ValueError("graph decoding needs a grid over the graph's alphabet")
+    if graph._arc_tables is None:
+        graph._arc_tables = _resolve_arcs(graph.lg, graph.alphabet)
+    eps, units = graph._arc_tables
     keys = 3 * len(graph.alphabet) * max(1, graph.num_states)
     limit = 50 * keys * keys
     scores = (acoustic_scale * -grid.log_probs).tolist()
@@ -245,7 +229,7 @@ def decode(grid, graph, beam=DEFAULT_BEAM, acoustic_scale=1.0):
                     if cur is None or cand < cur:
                         nxt[nkey] = cand
                 if f == 0:
-                    for arc_words, w, dst in joined[s]:
+                    for arc_words, w, dst in eps[s]:
                         cand = (base + w, words + arc_words)
                         nkey = (col, dst, 0)
                         cur = nxt.get(nkey)
@@ -268,7 +252,7 @@ def decode(grid, graph, beam=DEFAULT_BEAM, acoustic_scale=1.0):
             tokens = dict(heapq.nsmallest(beam, tokens.items(), key=itemgetter(1)))
     best = None
     for (u, s, f), (cost, words) in tokens.items():
-        final_w = tables.finals[s]
+        final_w = graph.lg.finals.get(s)
         if final_w is None:
             continue
         cand = (cost + final_w, words)

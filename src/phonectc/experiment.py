@@ -247,9 +247,8 @@ class Pipeline:
                 lex = Prolex()
                 for word in lang.prolex.words():
                     lex.add(word, bpe._encode_word(word), 0.0)
-            # drop entries whose units the model cannot emit
             self._graph_cache[key] = build_decode_graph(
-                alphabet, lex.restricted_to(alphabet), self._grammar(code)
+                alphabet, lex, self._grammar(code)
             )
         return self._graph_cache[key]
 

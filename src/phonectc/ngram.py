@@ -34,9 +34,6 @@ class NGramModel:
     entries: dict = field(default_factory=dict)
     vocabulary: frozenset = frozenset()
 
-    def prob(self, ngram):
-        return self.entries[tuple(ngram)][0]
-
     def _map(self, word):
         return word if word in self.vocabulary else UNK
 

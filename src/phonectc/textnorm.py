@@ -117,12 +117,16 @@ class Prolex:
     def read_tsv(cls, path):
         lex = cls()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                word, pron = line.split("\t")
-                lex.add(word, pron.split())
+                fields = line.split("\t")
+                if len(fields) != 2:
+                    raise LexiconError(
+                        f"{path}:{lineno}: expected word<TAB>phonemes"
+                    )
+                lex.add(fields[0], fields[1].split())
         return lex
 
 

@@ -51,13 +51,29 @@ def test_world_gen_and_eval(runner, tmp_path):
     assert result.output.strip() == "0.00"
 
 
+# config files that cannot be read or parsed (exit 1), and ones that parse
+# but whose content the config rejects (exit 2), with the text each error
+# must name; None stands for a path where no file is
+BAD_CONFIG_FILES = [(None, 1, "{path}"), ("x: [\n", 1, "{path}"),
+                    ("5\n", 2, "{path}")]
+
+
 def test_world_gen_rejects_unknown_key(runner, tmp_path):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text("not_a_field: 1\n")
-    result = runner.invoke(
-        main, ["world", "gen", "-o", str(tmp_path / "w"), "--config", str(cfg)]
-    )
-    assert result.exit_code == 2
+    for text, code, culprit in BAD_CONFIG_FILES + [
+            ("not_a_field: 1\n", 2, "not_a_field"),
+            ("inventory_size_range: [5, 2]\n", 2, "inventory_size_range")]:
+        cfg.unlink(missing_ok=True)
+        if text is not None:
+            cfg.write_text(text)
+        result = runner.invoke(
+            main, ["world", "gen", "-o", str(tmp_path / "w"), "--config", str(cfg)]
+        )
+        assert result.exit_code == code, (text, result.output)
+        last = result.output.strip().splitlines()[-1]
+        assert last.startswith("Error: "), text
+        assert culprit.format(path=cfg) in last, text
+        assert not (tmp_path / "w").exists(), text
 
 
 def test_g2p_and_lexicon(runner, world_dir, tmp_path):
@@ -256,6 +272,18 @@ def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
         assert result.exit_code == 2, text
         assert result.output.strip().splitlines()[-1].startswith("Error: "), text
         assert not (tmp_path / "out").exists(), text
+    for text, code, culprit in BAD_CONFIG_FILES:
+        cfg.unlink(missing_ok=True)
+        if text is not None:
+            cfg.write_text(text)
+        result = runner.invoke(
+            main, ["experiment", "run", "--world", world_dir, "--config", str(cfg),
+                   "-o", str(tmp_path / "out")]
+        )
+        assert result.exit_code == code, (text, result.output)
+        last = result.output.strip().splitlines()[-1]
+        assert last.startswith("Error: ") and culprit.format(path=cfg) in last
+        assert not (tmp_path / "out").exists(), text
 
 
 @pytest.mark.parametrize("args", [
@@ -346,6 +374,29 @@ def graph_files(tmp_path):
     return {"old_graph": str(old), "malformed_graph": str(malformed)}
 
 
+@pytest.fixture
+def text_files(tmp_path):
+    """Good graph-build inputs and experiment config, a lexicon with a line
+    of three fields, and bytes that are not UTF-8."""
+    from phonectc.ngram import train_ngram
+
+    inventory = tmp_path / "inventory.txt"
+    inventory.write_text("a\nb\n")
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("ab\ta b\n")
+    arpa = tmp_path / "lm.arpa"
+    train_ngram([["ab"]], order=1).write_arpa(arpa)
+    three_fields = tmp_path / "three_fields.tsv"
+    three_fields.write_text("ab\ta b\nab\tx y\textra\n")
+    noise = tmp_path / "noise.bin"
+    noise.write_bytes(b"\xff\xfe" + bytes(range(256)))
+    config = tmp_path / "exp.yaml"
+    config.write_text("mode: monolingual\n")
+    return {"inventory": str(inventory), "lexicon": str(lexicon),
+            "arpa": str(arpa), "three_fields": str(three_fields),
+            "noise": str(noise), "config": str(config)}
+
+
 @pytest.mark.parametrize("args, culprit", [
     (["decode", "--checkpoint", "{bad}", "--features", "{feats}",
       "--lexicon-free"], "bad"),
@@ -368,17 +419,43 @@ def graph_files(tmp_path):
     (["lexicon", "--g2p", "{malformed_graph}", "--words", "{missing}",
       "-o", "{out}"], "malformed_graph"),
     (["lm", "score", "--arpa", "{old_graph}", "a"], "old_graph"),
+    (["graph", "build", "--inventory", "{inventory}", "--lexicon",
+      "{three_fields}", "--arpa", "{arpa}", "-o", "{out}"], "three_fields:2"),
+    (["graph", "build", "--inventory", "{noise}", "--lexicon", "{lexicon}",
+      "--arpa", "{arpa}", "-o", "{out}"], "noise"),
+    (["graph", "build", "--bpe-model", "{missing}", "--lexicon", "{lexicon}",
+      "--arpa", "{arpa}", "-o", "{out}"], "missing"),
+    (["lm", "train", "--input", "{lexicon}", "--lexicon", "{three_fields}",
+      "-o", "{out}"], "three_fields:2"),
+    (["tokenizer", "encode", "--model", "{noise}", "{lexicon}"], "noise"),
+    (["train", "--world", "{missing}", "-o", "{out}"], "missing"),
+    (["finetune", "--world", "{missing}", "--pretrained", "{good}",
+      "--language", "u1", "-o", "{out}"], "missing"),
+    (["experiment", "run", "--world", "{missing}", "--config", "{config}",
+      "-o", "{out}"], "missing"),
+    (["lm", "score", "--arpa", "{noise}", "a"], "noise"),
+    (["g2p", "--fst", "{noise}", "ab"], "noise"),
+    (["eval", "--ref", "{lexicon}", "--hyp", "{noise}"], "noise"),
+    (["normalize", "{missing}"], "missing"),
 ], ids=["decode-checkpoint", "decode-features", "finetune", "embeddings-export",
         "decode-old-graph", "decode-malformed-graph", "decode-missing-checkpoint",
         "decode-missing-graph", "decode-feature-matrix", "g2p-malformed-fst",
-        "lexicon-malformed-g2p", "lm-score-not-arpa"])
+        "lexicon-malformed-g2p", "lm-score-not-arpa",
+        "graph-build-three-field-lexicon", "graph-build-binary-inventory",
+        "graph-build-missing-bpe-model", "lm-train-three-field-lexicon",
+        "tokenizer-encode-binary-model", "train-missing-world",
+        "finetune-missing-world", "experiment-run-missing-world",
+        "lm-score-binary-arpa", "g2p-binary-fst", "eval-binary-hyp",
+        "normalize-missing-input"])
 def test_damaged_input_file_is_a_one_line_error(runner, world_dir, damaged_files,
-                                                graph_files, args, culprit):
-    files = {**damaged_files, **graph_files, "world": world_dir}
+                                                graph_files, text_files, args,
+                                                culprit):
+    files = {**damaged_files, **graph_files, **text_files, "world": world_dir}
     result = runner.invoke(main, [a.format(**files) for a in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     lines = result.output.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("Error: ")
-    assert files[culprit] in lines[0]
+    name, _, line = culprit.partition(":")
+    assert files[name] + (f":{line}" if line else "") in lines[0]

@@ -287,7 +287,9 @@ def random_logits(rng, T, V1, kind):
 
 def assert_decoders_agree(alphabet, lex, g, grids):
     graph = build_decode_graph(alphabet, lex, g)
-    reference = support.build_decode_graph_reference(alphabet, lex, g)
+    reference = support.build_decode_graph_reference(
+        alphabet, lex.restricted_to(alphabet), g
+    )
     for grid in grids:
         for beam in (None, 0, 1, 2, 16):
             for scale in (0.5, 1, 2.0):
@@ -297,43 +299,60 @@ def assert_decoders_agree(alphabet, lex, g, grids):
                 ), (grid.log_probs, kw)
 
 
+def test_decode_rejects_a_grid_over_another_alphabet():
+    # two tied pronunciations: a grid whose columns ran in another order
+    # than T's would decide which one beam 1 keeps
+    alphabet = make_alphabet({"a", "b"})
+    lex = Prolex()
+    lex.add("w", ["a"])
+    lex.add("w", ["b"])
+    graph = build_decode_graph(
+        alphabet, lex, ngram_to_fst(train_ngram([["w"]], order=1))
+    )
+    logits = np.array([[-np.inf, 0.0, 0.0], [-np.inf, -1.0, 0.0]])
+    assert decode(grid_over(alphabet, logits), graph)[0] == ["w"]
+    superset = make_alphabet({"a", "b", "c"})
+    reordered = Alphabet(units=(BLANK, "b", "a"), kind="phoneme")
+    for other, width in ((superset, 4), (reordered, 3)):
+        grid = grid_over(other, np.zeros((2, width)))
+        with pytest.raises(ValueError):
+            decode(grid, graph)
+
+
+def test_build_drops_the_pronunciations_the_alphabet_cannot_spell():
+    rng = np.random.default_rng(5)
+    units = ["a", "b", "c"]
+    alphabet = make_alphabet(units)
+    lex, g = toy_world(rng, 2, units, foreign=["x"])
+    assert any("x" in p for prons in lex.entries.values() for p, _ in prons)
+    lg = build_decode_graph(alphabet, lex, g).lg
+    want = build_decode_graph(alphabet, lex.restricted_to(alphabet), g).lg
+    assert "x" not in lg.isyms.symbols()
+    assert lg.arcs == want.arcs
+    assert lg.finals == want.finals and list(lg.finals) == list(want.finals)
+    assert lg.isyms.symbols() == want.isyms.symbols()
+    assert lg.osyms.symbols() == want.osyms.symbols()
+    assert lg.start == want.start
+
+
 def test_decode_equals_reference():
     rng = np.random.default_rng(2024)
     phones = list("ptkmnsaeiou")
     for trial in range(60):
         units = [phones[i] for i in rng.choice(len(phones), 3, replace=False)]
         alphabet = make_alphabet(units)
-        extra = [p for p in phones if p not in units][:2]
-        grid_alphabet = alphabet
-        if trial % 3 == 1:
-            # finetuning's union alphabet: units the graph's T does not have
-            grid_alphabet = make_alphabet(units + extra)
-        elif trial % 3 == 2:
-            # a superset whose columns run against the build order
-            grid_alphabet = Alphabet(
-                units=(BLANK,) + tuple(sorted(units + extra, reverse=True)),
-                kind="phoneme",
-            )
-        foreign = extra[:1] if trial % 3 else ()
+        # two thirds of the lexicons hold a word over a unit outside the
+        # alphabet, which the build drops
+        outside = [p for p in phones if p not in units][:1]
+        foreign = outside if trial % 3 else ()
         lex, g = toy_world(rng, 2 + trial % 2, units, foreign)
         grids = [
-            grid_over(grid_alphabet,
+            grid_over(alphabet,
                       random_logits(rng, int(rng.integers(1, 8)),
-                                    len(grid_alphabet), kind))
+                                    len(alphabet), kind))
             for kind in ("normal", "rounded", "-inf")
         ]
         assert_decoders_agree(alphabet, lex, g, grids)
-
-    # two pronunciations of one word tie after frame 0, so beam 1 keeps the
-    # one T reaches first: T's order is the build alphabet's, not the grid's
-    alphabet = make_alphabet({"a", "b"})
-    lex = Prolex()
-    lex.add("w", ["a"])
-    lex.add("w", ["b"])
-    g = ngram_to_fst(train_ngram([["w"]], order=1))
-    reverse = Alphabet(units=(BLANK, "b", "a"), kind="phoneme")
-    grid = grid_over(reverse, np.array([[-np.inf, 0.0, 0.0], [-np.inf, -1.0, 0.0]]))
-    assert_decoders_agree(alphabet, lex, g, [grid])
 
     # a negative-weight epsilon self-loop in G: both decoders give up in the
     # first epsilon closure
@@ -359,27 +378,24 @@ def test_decode_equals_reference_on_drawn_worlds(data):
     order = data.draw(st.sampled_from([1, 2, 3]), label="order")
     units = data.draw(st.lists(st.sampled_from("abcd"), min_size=1,
                                max_size=3, unique=True), label="units")
-    extra = data.draw(st.lists(st.sampled_from("xy"), max_size=2, unique=True),
-                      label="grid-only units")
-    reverse = data.draw(st.booleans(), label="reversed grid columns")
-    lex, g = toy_world(np.random.default_rng(seed), order, units, extra[:1])
+    outside = data.draw(st.lists(st.sampled_from("xy"), max_size=1),
+                        label="lexicon-only units")
+    lex, g = toy_world(np.random.default_rng(seed), order, units, outside)
     alphabet = make_alphabet(units)
-    grid_alphabet = Alphabet(
-        units=(BLANK,) + tuple(sorted(units + extra, reverse=reverse)),
-        kind="phoneme",
-    )
     T = data.draw(st.integers(1, 6), label="frames")
     values = st.sampled_from([0.0, -1.0, -2.0, 1.5, -np.inf])
-    width = len(grid_alphabet)
+    width = len(alphabet)
     rows = data.draw(st.lists(
         st.lists(values, min_size=width, max_size=width)
         .filter(lambda r: max(r) > -np.inf),
         min_size=T, max_size=T), label="logits")
     beam = data.draw(st.sampled_from([None, 0, 1, 2, 3, 16]), label="beam")
     scale = data.draw(st.sampled_from([0.5, 1, 2.0]), label="scale")
-    grid = grid_over(grid_alphabet, np.array(rows))
+    grid = grid_over(alphabet, np.array(rows))
     graph = build_decode_graph(alphabet, lex, g)
-    reference = support.build_decode_graph_reference(alphabet, lex, g)
+    reference = support.build_decode_graph_reference(
+        alphabet, lex.restricted_to(alphabet), g
+    )
     kw = dict(beam=beam, acoustic_scale=scale)
     assert outcome(decode, grid, graph, **kw) == outcome(
         support.decode_reference, grid, reference, **kw

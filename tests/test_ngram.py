@@ -25,17 +25,17 @@ def random_corpus(rng, vocab, n_sents, max_len=6):
 def test_unigram_ml_before_smoothing_mass():
     model = train_ngram([["a", "a", "b"]], order=1)
     # Witten-Bell unigram over "a a b </s>": P(a) = c(a)/(N + T) = 2/(4+3)
-    assert 10 ** model.prob(("a",)) == pytest.approx(2 / 7)
-    assert 10 ** model.prob(("b",)) == pytest.approx(1 / 7)
-    assert 10 ** model.prob((EOS,)) == pytest.approx(1 / 7)
+    assert 10 ** model.entries[("a",)][0] == pytest.approx(2 / 7)
+    assert 10 ** model.entries[("b",)][0] == pytest.approx(1 / 7)
+    assert 10 ** model.entries[(EOS,)][0] == pytest.approx(1 / 7)
     # held-out mass T/(N+T) goes to the unseen vocabulary (<unk>)
-    assert 10 ** model.prob((UNK,)) == pytest.approx(3 / 7)
+    assert 10 ** model.entries[(UNK,)][0] == pytest.approx(3 / 7)
 
 
 def test_bigram_witten_bell_hand_value():
     model = train_ngram([["a", "b"]], order=2)
     # context "a": c(a)=1, one distinct follower -> P(b|a) = 1/(1+1)
-    assert 10 ** model.prob(("a", "b")) == pytest.approx(0.5)
+    assert 10 ** model.entries[("a", "b")][0] == pytest.approx(0.5)
 
 
 def test_conditional_distributions_sum_to_one():
@@ -56,7 +56,7 @@ def test_unknown_word_backs_off_to_unk():
 def test_extra_vocab_words_get_unigram_mass():
     model = train_ngram([["a", "b"]], order=2, extra_vocab=["c", "d"])
     assert ("c",) in model.entries and ("d",) in model.entries
-    assert 10 ** model.prob(("c",)) > 0
+    assert 10 ** model.entries[("c",)][0] > 0
 
 
 def test_empty_corpus_rejected():

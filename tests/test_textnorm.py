@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from phonectc.fst import Fst
@@ -132,6 +134,14 @@ def test_prolex_tsv_roundtrip(tmp_path):
         "ab": [("x", "y")],
         "c": [("z",), ("w",)],
     }
+
+
+def test_prolex_read_tsv_names_a_malformed_line(tmp_path):
+    path = tmp_path / "lex.tsv"
+    for text in ("ab\tx y\n\nab\tx y\textra\n", "ab\tx\n\nab x\n"):
+        path.write_text(text)
+        with pytest.raises(LexiconError, match=re.escape(f"{path}:3:")):
+            Prolex.read_tsv(path)
 
 
 def test_best_pronunciation_tie_break():
