@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import click
 import yaml
@@ -37,9 +39,8 @@ def _write_lines(lines, out):
         for l in lines:
             click.echo(l)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            for l in lines:
-                fh.write(l + "\n")
+        text = "".join(l + "\n" for l in lines)
+        _write(lambda path: Path(path).write_text(text, encoding="utf-8"), out)
 
 
 def _load(loader, path):
@@ -49,10 +50,26 @@ def _load(loader, path):
     try:
         return loader(path)
     except (OSError, ValueError) as err:
-        message = str(err)
-        if str(path) not in message:
-            message = f"{path}: {message}"
-        raise click.ClickException(message) from err
+        raise _path_error(path, err) from err
+
+
+def _write(writer, path):
+    """``writer(path)``; a path that cannot be written, such as one in a
+    missing directory, ends the command with a one-line message naming it,
+    not a traceback."""
+    try:
+        return writer(path)
+    except OSError as err:
+        raise _path_error(path, err) from err
+
+
+def _path_error(path, err):
+    """A one-line click error: ``err``'s message, led by ``path`` unless the
+    message already names it."""
+    message = str(err)
+    if str(path) not in message:
+        message = f"{path}: {message}"
+    return click.ClickException(message)
 
 
 def _read_yaml(path):
@@ -160,7 +177,7 @@ def lexicon(fst_path, words_file, out, nbest, stats):
     words = [w for w in _read_lines(words_file) if w]
     dropped = []
     lex = build_prolex(words, transducer, nbest=nbest, report=dropped)
-    lex.write_tsv(out)
+    _write(lex.write_tsv, out)
     if dropped:
         click.echo(f"dropped {len(dropped)} unpronounceable word(s)", err=True)
     if stats:
@@ -198,7 +215,7 @@ def tokenizer_train(inputs, vocab_size, out, beta, seed):
     else:
         sentences = next(iter(corpora.values()))
     model = train_bpe(sentences, vocab_size)
-    model.save(out)
+    _write(model.save, out)
     click.echo(f"{len(model.vocab) - 1} units, {len(model.merges)} merges")
 
 
@@ -245,9 +262,9 @@ def lm_train(input_file, order, out, fst_out, lexicon_path):
         extra = _load(Prolex.read_tsv, lexicon_path).words()
     sentences = [l.split() for l in _read_lines(input_file) if l.strip()]
     model = train_ngram(sentences, order=order, extra_vocab=extra)
-    model.write_arpa(out)
+    _write(model.write_arpa, out)
     if fst_out:
-        ngram_to_fst(model).write_text(fst_out)
+        _write(ngram_to_fst(model).write_text, fst_out)
     click.echo(f"{len(model.entries)} n-gram entries")
 
 
@@ -307,7 +324,7 @@ def graph_build(inventory_path, bpe_path, lexicon_path, arpa_path, out):
         raise click.UsageError(
             f"no pronunciation in {lexicon_path} uses only the unit source's units"
         ) from err
-    g.lg.write_text(out)
+    _write(g.lg.write_text, out)
     click.echo(f"{g.num_states} states")
 
 
@@ -330,7 +347,7 @@ def world_gen(out, seed, config_path):
     from .world import SyntheticWorldConfig, generate_world, write_world
 
     config = _config(SyntheticWorldConfig, config_path, seed=seed)
-    write_world(generate_world(config), out)
+    _write(partial(write_world, generate_world(config)), out)
     click.echo(f"world written to {out}")
 
 
@@ -355,9 +372,9 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
     bpe = None
     if supervision == "subword":
         bpe = pipe.train_bpe_model(seed, bpe_vocab_size)
-        bpe.save(str(out) + ".bpe")
+        _write(bpe.save, str(out) + ".bpe")
     ckpt, history = pipe.train_languages(codes, seed, supervision, bpe)
-    save_checkpoint(ckpt, out)
+    _write(partial(save_checkpoint, ckpt), out)
     last = history["epochs"][-1]
     click.echo(
         f"epochs={last['epoch']} train_loss={last['train_loss']:.4f} "
@@ -386,7 +403,7 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     base = _load(load_checkpoint, pretrained_path)
     n = utterances or None
     ckpt, history = pipe.finetune(base, language, seed, n_utts=n, mode=mode)
-    save_checkpoint(ckpt, out)
+    _write(partial(save_checkpoint, ckpt), out)
     click.echo(f"epochs={history['epochs'][-1]['epoch']}")
 
 
@@ -407,8 +424,6 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
 def decode(ckpt_path, feats_path, graph_path, lexicon_free, beam,
            acoustic_scale, out):
     """Decode each utterance of a feature set into words or units."""
-    from functools import partial
-
     from .ctc import prefix_beam_search
     from .decodegraph import DecodeFailureError, DecodeGraph
     from .decodegraph import decode as graph_decode
@@ -476,7 +491,8 @@ def embeddings_export(ckpt_path, out):
     """Write one unit embedding per line: symbol, then the vector."""
     from .model import load_checkpoint, write_embeddings_tsv
 
-    write_embeddings_tsv(_load(load_checkpoint, ckpt_path), out)
+    ckpt = _load(load_checkpoint, ckpt_path)
+    _write(partial(write_embeddings_tsv, ckpt), out)
     click.echo(f"embeddings written to {out}")
 
 
@@ -496,17 +512,17 @@ def experiment():
 def experiment_run(world_dir, config_path, out):
     """Run one experiment config against a world."""
     from .experiment import ExperimentConfig, run_experiment
-    from .world import WorldError, load_world
+    from .world import load_world
 
     config = _config(ExperimentConfig, config_path)
     if out:
         config = replace(config, output_dir=out)
     world = _load(load_world, world_dir)
-    try:
-        # run_experiment checks the config's language codes before any work
-        report = run_experiment(world, config)
-    except WorldError as err:
-        raise click.UsageError(str(err)) from err
+    # a bad language code leaves no output directory behind
+    _check_codes(world, [*config.languages, *filter(None, [config.ft_language])])
+    _write(lambda d: Path(d).mkdir(parents=True, exist_ok=True),
+           config.output_dir)
+    report = run_experiment(world, config)
     click.echo(json.dumps(report, ensure_ascii=False, sort_keys=True))
 
 

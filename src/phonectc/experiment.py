@@ -37,6 +37,7 @@ from .model import (
 )
 from .ngram import train_ngram, ngram_to_fst
 from .textnorm import Prolex
+from .world import check_field_types, is_integer
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,14 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        check_field_types(self, ValueError, {
+            "languages": ("a tuple of language codes", None,
+                          lambda v: isinstance(v, str)),
+            "ft_data_scales": (
+                "a tuple of utterance counts or all", None,
+                lambda v: v == "all" or is_integer(v) and v >= 0,
+            ),
+        })
         if self.mode not in ("monolingual", "multilingual", "crosslingual_ft"):
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.supervision not in ("phoneme", "subword"):

@@ -5,7 +5,9 @@ an invertible single-character orthography, a random lexicon, text corpora,
 and acoustic features built from per-universal-phoneme Gaussian prototype
 vectors shared across languages. The shared prototypes are what makes
 crosslingual transfer learnable: the same sound looks the same in every
-language, up to duration jitter and additive noise.
+language, up to duration jitter and additive noise. One generator, seeded
+from the config, draws everything in a fixed order; an utterance's phone
+durations are one draw from it, followed by its noise.
 
 World directory layout::
 
@@ -18,7 +20,8 @@ World directory layout::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,46 @@ class WorldError(ValueError):
     pass
 
 
+def is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# field annotation -> (what a value must be, its check)
+_FIELD_TYPES = {
+    "int": ("an integer", is_integer),
+    "float": ("a number", is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "dict": ("a mapping", lambda v: isinstance(v, dict)),
+}
+
+
+def check_field_types(config, error, tuples):
+    """Raise ``error`` naming the first field of the dataclass ``config``, and
+    its value, that is not of the field's annotated type; a bool is not a
+    number. ``tuples`` gives each tuple field as (what it must be, its
+    length or None, the check of each item)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "tuple":
+            what, length, check = tuples[f.name]
+            ok = (isinstance(value, tuple) and length in (None, len(value))
+                  and all(map(check, value)))
+        else:
+            what, check = _FIELD_TYPES[f.type]
+            ok = check(value)
+        if not ok:
+            raise error(f"{f.name} must be {what}, got {value!r}")
+
+
+_RANGES = ("inventory_size_range", "lexicon_size_range", "word_length_range",
+           "words_per_sentence_range", "frames_per_phoneme_range")
+
+
 @dataclass(frozen=True)
 class SyntheticWorldConfig:
     universal_inventory_size: int = 40
@@ -72,11 +115,14 @@ class SyntheticWorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        pair = ("a tuple of 2 integers", 2, is_integer)
+        fractions = (f"a tuple of {len(SPLITS)} numbers", len(SPLITS), is_number)
+        check_field_types(self, WorldError, {
+            **{name: pair for name in _RANGES}, "split_fractions": fractions,
+        })
         if self.universal_inventory_size > len(UNIVERSAL_PHONEMES):
             raise WorldError("universal inventory larger than the symbol pool")
-        for name in ("inventory_size_range", "lexicon_size_range",
-                     "word_length_range", "words_per_sentence_range",
-                     "frames_per_phoneme_range"):
+        for name in _RANGES:
             lo, hi = getattr(self, name)
             if lo > hi or lo <= 0:
                 raise WorldError(f"empty range for {name}")
@@ -251,21 +297,21 @@ def _split(sentences, fractions):
 
 
 def _make_features(rng, config, lang, universal, prototypes):
-    proto_of = {u: prototypes[i] for i, u in enumerate(universal)}
+    """Each utterance's frames: its phones' prototype rows, each repeated for
+    its duration, plus noise. The durations are one draw per utterance, which
+    takes the same values from the stream as one draw per phone; then noise."""
+    row = {u: i for i, u in enumerate(universal)}
+    rows_of = {w: [row[p] for p in lang.phoneme_transcript(w)]
+               for w in lang.prolex.entries}
     lo, hi = config.frames_per_phoneme_range
     for split in SPLITS:
         mats = []
         for sentence in lang.sentences[split]:
-            phones = lang.phoneme_transcript(sentence)
-            frames = []
-            for p in phones:
-                dur = int(rng.integers(lo, hi + 1))
-                frames.extend([proto_of[p]] * dur)
-            feats = np.array(frames, dtype=np.float64)
+            rows = [r for w in sentence.split() for r in rows_of[w]]
+            durations = rng.integers(lo, hi + 1, size=len(rows))
+            feats = np.repeat(prototypes[rows], durations, axis=0)
             if config.feature_noise_std > 0:
-                feats = feats + rng.normal(
-                    0.0, config.feature_noise_std, feats.shape
-                )
+                feats += rng.normal(0.0, config.feature_noise_std, feats.shape)
             mats.append(feats)
         lang.features[split] = mats
 

@@ -5,8 +5,9 @@ from enumerating every frame-level path, gradients from central finite
 differences, so agreement is meaningful evidence of correctness. The
 textbook frame-by-frame CTC recursion and the dict-based prefix beam search
 are kept here as the exact references for the library's vectorised ones,
-and the composed T o (L o G) graph with its decoder as the exact reference
-for the library's decoder, which applies T on the fly.
+the composed T o (L o G) graph with its decoder as the exact reference
+for the library's decoder, which applies T on the fly, and the per-phone
+feature synthesis loop as the exact reference for the world generator's.
 """
 
 from functools import lru_cache
@@ -402,6 +403,28 @@ def edit_distance_recursive(ref, hyp):
         )
 
     return d(len(ref), len(hyp))
+
+
+def make_features_reference(rng, config, lang, universal, prototypes):
+    """``world._make_features`` as a loop over each utterance's phones, one
+    duration drawn per phone: the exact reference for the library's one
+    draw per utterance."""
+    proto_of = {u: prototypes[i] for i, u in enumerate(universal)}
+    lo, hi = config.frames_per_phoneme_range
+    for split in ("train", "dev", "test"):
+        mats = []
+        for sentence in lang.sentences[split]:
+            frames = []
+            for p in lang.phoneme_transcript(sentence):
+                dur = int(rng.integers(lo, hi + 1))
+                frames.extend([proto_of[p]] * dur)
+            feats = np.array(frames, dtype=np.float64)
+            if config.feature_noise_std > 0:
+                feats = feats + rng.normal(
+                    0.0, config.feature_noise_std, feats.shape
+                )
+            mats.append(feats)
+        lang.features[split] = mats
 
 
 def damage(blob, data):

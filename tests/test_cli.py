@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -62,7 +63,12 @@ def test_world_gen_rejects_unknown_key(runner, tmp_path):
     cfg = tmp_path / "bad.yaml"
     for text, code, culprit in BAD_CONFIG_FILES + [
             ("not_a_field: 1\n", 2, "not_a_field"),
-            ("inventory_size_range: [5, 2]\n", 2, "inventory_size_range")]:
+            ("inventory_size_range: [5, 2]\n", 2, "inventory_size_range"),
+            ("num_seen_languages: two\n", 2, "num_seen_languages"),
+            ("utterances_per_language: true\n", 2, "utterances_per_language"),
+            ("frames_per_phoneme_range: [2, x]\n", 2,
+             "frames_per_phoneme_range"),
+            ("feature_noise_std: loud\n", 2, "feature_noise_std")]:
         cfg.unlink(missing_ok=True)
         if text is not None:
             cfg.write_text(text)
@@ -262,6 +268,10 @@ def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
                  "mode: monolingual\nbeam: 0\n",
                  "mode: monolingual\nlm_order: 0\n",
                  "mode: monolingual\nacoustic_scale: -1.0\n",
+                 "mode: monolingual\nseed: zero\n",
+                 "mode: monolingual\nbeam: 2.5\n",
+                 "mode: monolingual\nlanguages: [s1, 2]\n",
+                 "mode: monolingual\nforgetting_eval: maybe\n",
                  "mode: monolingual\nlanguages: [zz]\n",
                  "mode: crosslingual_ft\ninit_mode: scratch\nft_language: zz\n"):
         cfg.write_text(text)
@@ -375,9 +385,10 @@ def graph_files(tmp_path):
 
 
 @pytest.fixture
-def text_files(tmp_path):
+def text_files(tmp_path, world_dir):
     """Good graph-build inputs and experiment config, a lexicon with a line
-    of three fields, and bytes that are not UTF-8."""
+    of three fields, bytes that are not UTF-8, and a copy of the test world
+    whose config holds a word where a count belongs."""
     from phonectc.ngram import train_ngram
 
     inventory = tmp_path / "inventory.txt"
@@ -392,9 +403,14 @@ def text_files(tmp_path):
     noise.write_bytes(b"\xff\xfe" + bytes(range(256)))
     config = tmp_path / "exp.yaml"
     config.write_text("mode: monolingual\n")
+    bad_world = shutil.copytree(world_dir, tmp_path / "bad_world")
+    manifest = json.loads((bad_world / "world.json").read_text())
+    manifest["config"]["num_seen_languages"] = "two"
+    (bad_world / "world.json").write_text(json.dumps(manifest))
     return {"inventory": str(inventory), "lexicon": str(lexicon),
             "arpa": str(arpa), "three_fields": str(three_fields),
-            "noise": str(noise), "config": str(config)}
+            "noise": str(noise), "config": str(config),
+            "bad_world": str(bad_world)}
 
 
 @pytest.mark.parametrize("args, culprit", [
@@ -437,6 +453,7 @@ def text_files(tmp_path):
     (["g2p", "--fst", "{noise}", "ab"], "noise"),
     (["eval", "--ref", "{lexicon}", "--hyp", "{noise}"], "noise"),
     (["normalize", "{missing}"], "missing"),
+    (["train", "--world", "{bad_world}", "-o", "{out}"], "bad_world"),
 ], ids=["decode-checkpoint", "decode-features", "finetune", "embeddings-export",
         "decode-old-graph", "decode-malformed-graph", "decode-missing-checkpoint",
         "decode-missing-graph", "decode-feature-matrix", "g2p-malformed-fst",
@@ -446,7 +463,7 @@ def text_files(tmp_path):
         "tokenizer-encode-binary-model", "train-missing-world",
         "finetune-missing-world", "experiment-run-missing-world",
         "lm-score-binary-arpa", "g2p-binary-fst", "eval-binary-hyp",
-        "normalize-missing-input"])
+        "normalize-missing-input", "train-world-config-type"])
 def test_damaged_input_file_is_a_one_line_error(runner, world_dir, damaged_files,
                                                 graph_files, text_files, args,
                                                 culprit):
@@ -459,3 +476,69 @@ def test_damaged_input_file_is_a_one_line_error(runner, world_dir, damaged_files
     assert lines[0].startswith("Error: ")
     name, _, line = culprit.partition(":")
     assert files[name] + (f":{line}" if line else "") in lines[0]
+
+
+@pytest.fixture
+def output_inputs(tmp_path, world_dir):
+    """A BPE model and a checkpoint over the test world's features, as
+    inputs to commands whose output cannot be written."""
+    from phonectc.bpe import train_bpe
+    from phonectc.inventory import make_alphabet
+    from phonectc.model import EncoderConfig, init_checkpoint, save_checkpoint
+
+    bpe = tmp_path / "m.bpe"
+    train_bpe(["ab ba", "ab"], 8).save(bpe)
+    ckpt = tmp_path / "world.ckpt"
+    config = EncoderConfig(input_dim=10, hidden_dim=6, num_blocks=1)
+    save_checkpoint(init_checkpoint(config, make_alphabet({"a", "b"})), ckpt)
+    return {"bpe": str(bpe), "world_ckpt": str(ckpt),
+            "g2p": f"{world_dir}/lang-s1/g2p.fst.txt"}
+
+
+# each command with an output path in a missing directory, or under a file
+# where a directory would have to be made, and that path
+@pytest.mark.parametrize("args, culprit", [
+    (["normalize", "{lexicon}", "-o", "{missing}/out.txt"], "{missing}/out.txt"),
+    (["lexicon", "--g2p", "{g2p}", "--words", "{inventory}",
+      "-o", "{missing}/lex.tsv"], "{missing}/lex.tsv"),
+    (["tokenizer", "train", "--input", "{lexicon}", "--vocab-size", "12",
+      "-o", "{missing}/m.bpe"], "{missing}/m.bpe"),
+    (["tokenizer", "encode", "--model", "{bpe}", "{lexicon}",
+      "-o", "{missing}/enc.txt"], "{missing}/enc.txt"),
+    (["lm", "train", "--input", "{lexicon}", "-o", "{missing}/x.arpa"],
+     "{missing}/x.arpa"),
+    (["lm", "train", "--input", "{lexicon}", "-o", "{arpa}",
+      "--fst", "{missing}/g.fst.txt"], "{missing}/g.fst.txt"),
+    (["graph", "build", "--inventory", "{inventory}", "--lexicon",
+      "{lexicon}", "--arpa", "{arpa}", "-o", "{missing}/g.txt"],
+     "{missing}/g.txt"),
+    (["world", "gen", "-o", "{good}/w"], "{good}/w"),
+    (["train", "--world", "{world}", "--language", "s1",
+      "-o", "{missing}/m.ckpt"], "{missing}/m.ckpt"),
+    (["train", "--world", "{world}", "--language", "s1", "--supervision",
+      "subword", "--bpe-vocab-size", "50", "-o", "{missing}/m.ckpt"],
+     "{missing}/m.ckpt.bpe"),
+    (["finetune", "--world", "{world}", "--pretrained", "{world_ckpt}",
+      "--language", "u1", "--utterances", "4", "-o", "{missing}/ft.ckpt"],
+     "{missing}/ft.ckpt"),
+    (["decode", "--checkpoint", "{good}", "--features", "{good_feats}",
+      "--lexicon-free", "-o", "{missing}/hyp.txt"], "{missing}/hyp.txt"),
+    (["embeddings", "export", "--checkpoint", "{good}",
+      "-o", "{missing}/emb.tsv"], "{missing}/emb.tsv"),
+    (["experiment", "run", "--world", "{world}", "--config", "{config}",
+      "-o", "{good}/exp"], "{good}/exp"),
+], ids=["normalize", "lexicon", "tokenizer-train", "tokenizer-encode",
+        "lm-train", "lm-train-fst", "graph-build", "world-gen",
+        "train", "train-subword-bpe", "finetune", "decode",
+        "embeddings-export", "experiment-run"])
+def test_unwritable_output_is_a_one_line_error(runner, world_dir, damaged_files,
+                                               text_files, output_inputs, args,
+                                               culprit):
+    files = {**damaged_files, **text_files, **output_inputs, "world": world_dir}
+    result = runner.invoke(main, [a.format(**files) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("Error: ")
+    assert culprit.format(**files) in lines[0]

@@ -61,6 +61,19 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    for name, value in (("mode", 1), ("seed", "zero"), ("seed", 1.0),
+                        ("beam", True), ("lm_order", None),
+                        ("acoustic_scale", "1"), ("forgetting_eval", 1),
+                        ("encoder", [("hidden_dim", 8)]), ("output_dir", None),
+                        ("languages", "s1"), ("languages", ("s1", 2)),
+                        ("ft_data_scales", (20, "50")),
+                        ("ft_data_scales", (-1,))):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be")) as e:
+            ExperimentConfig(**{"mode": "monolingual", name: value})
+        assert repr(value) in str(e.value)
+    # any integer is a count and any real number a scale; "all" is a scale
+    ExperimentConfig(mode="monolingual", seed=np.int64(1), acoustic_scale=2,
+                     ft_data_scales=(20, 0, "all"))
 
 
 def test_readme_configs_build():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from phonectc import world as world_mod
 from phonectc.featio import read_feature_set, write_feature_set
 from phonectc.textnorm import apply_g2p, lexicon_stats
 from phonectc.world import (
@@ -171,3 +172,54 @@ def test_config_validation():
         SyntheticWorldConfig(inventory_size_range=(5, 3))
     with pytest.raises(WorldError):
         SyntheticWorldConfig(split_fractions=(0.5, 0.2, 0.2))
+    for name, value in (("num_seen_languages", "two"), ("seed", True),
+                        ("feature_dim", 10.0), ("utterances_per_language", None),
+                        ("inventory_size_range", (10, "14")),
+                        ("word_length_range", (2, 3, 4)),
+                        ("lexicon_size_range", 20),
+                        ("frames_per_phoneme_range", [2, 5]),
+                        ("feature_noise_std", "0.3"), ("homophone_rate", False),
+                        ("split_fractions", (0.8, "0.1", 0.1)),
+                        ("split_fractions", (0.5, 0.5))):
+        with pytest.raises(WorldError, match=re.escape(f"{name} must be")) as e:
+            SyntheticWorldConfig(**{name: value})
+        assert repr(value) in str(e.value)
+    # any integer is a count, and any real number a rate
+    SyntheticWorldConfig(seed=np.int64(3), feature_noise_std=0,
+                         homophone_rate=np.float32(0.5),
+                         split_fractions=(1, 0, 0))
+
+
+# the world configs of bench/workloads.py (desk_seed, long_utts, eval_sweep)
+# and a noiseless one with fixed durations
+REFERENCE_CONFIGS = {
+    **{f"default-seed{s}": SyntheticWorldConfig(seed=s) for s in range(3)},
+    "long_utts": SyntheticWorldConfig(seed=0, words_per_sentence_range=(2, 12)),
+    "eval_sweep": SyntheticWorldConfig(
+        seed=1, lexicon_size_range=(60, 80), utterances_per_language=200
+    ),
+    "noiseless": SyntheticWorldConfig(
+        num_seen_languages=2, num_unseen=1, feature_noise_std=0.0,
+        frames_per_phoneme_range=(2, 2), seed=4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_CONFIGS)
+def test_features_equal_the_per_phone_reference(monkeypatch, name):
+    config = REFERENCE_CONFIGS[name]
+    fast = generate_world(config)
+    monkeypatch.setattr(world_mod, "_make_features",
+                        support.make_features_reference)
+    slow = generate_world(config)
+    assert np.array_equal(fast.prototypes, slow.prototypes)
+    assert list(fast.languages) == list(slow.languages)
+    for code, a in fast.languages.items():
+        b = slow.languages[code]
+        assert a.sentences == b.sentences
+        assert a.prolex.entries == b.prolex.entries
+        for split in ("train", "dev", "test"):
+            assert len(a.features[split]) == len(b.features[split])
+            for x, y in zip(a.features[split], b.features[split]):
+                assert x.shape == y.shape
+                assert np.array_equal(x, y)
