@@ -203,18 +203,21 @@ def tokenizer():
 @click.option("--seed", default=0, show_default=True)
 def tokenizer_train(inputs, vocab_size, out, beta, seed):
     """Train a BPE model with language-balanced sampling over the inputs."""
-    from .bpe import LanguageStats, sample_corpus, train_bpe
+    from .bpe import BpeError, LanguageStats, sample_corpus, train_bpe
 
     corpora = {p: [l for l in _read_lines(p) if l.strip()] for p in inputs}
-    if len(corpora) > 1:
-        stats = LanguageStats(
-            counts={p: len(s) for p, s in corpora.items()}, beta=beta
-        )
-        total = sum(len(s) for s in corpora.values())
-        sentences = [s for _, s in sample_corpus(corpora, stats, total, seed)]
-    else:
-        sentences = next(iter(corpora.values()))
-    model = train_bpe(sentences, vocab_size)
+    try:  # a vocabulary too small for the inputs, or an empty input
+        if len(corpora) > 1:
+            stats = LanguageStats(
+                counts={p: len(s) for p, s in corpora.items()}, beta=beta
+            )
+            total = sum(len(s) for s in corpora.values())
+            sentences = [s for _, s in sample_corpus(corpora, stats, total, seed)]
+        else:
+            sentences = next(iter(corpora.values()))
+        model = train_bpe(sentences, vocab_size)
+    except BpeError as err:
+        raise click.UsageError(str(err)) from err
     _write(model.save, out)
     click.echo(f"{len(model.vocab) - 1} units, {len(model.merges)} merges")
 
@@ -512,17 +515,19 @@ def experiment():
 def experiment_run(world_dir, config_path, out):
     """Run one experiment config against a world."""
     from .experiment import ExperimentConfig, run_experiment
+    from .model import load_checkpoint
     from .world import load_world
 
     config = _config(ExperimentConfig, config_path)
     if out:
         config = replace(config, output_dir=out)
     world = _load(load_world, world_dir)
-    # a bad language code leaves no output directory behind
+    # a bad language code or checkpoint leaves no output directory behind
     _check_codes(world, [*config.languages, *filter(None, [config.ft_language])])
+    base = _load(load_checkpoint, config.pretrained_path) if config.finetunes else None
     _write(lambda d: Path(d).mkdir(parents=True, exist_ok=True),
            config.output_dir)
-    report = run_experiment(world, config)
+    report = run_experiment(world, config, base)
     click.echo(json.dumps(report, ensure_ascii=False, sort_keys=True))
 
 

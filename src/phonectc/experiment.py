@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -74,10 +74,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown supervision: {self.supervision!r}")
         if self.init_mode not in ("copy_shared", "random_all", "scratch"):
             raise ValueError(f"unknown init_mode: {self.init_mode!r}")
-        for key, cls in (("encoder", EncoderConfig), ("schedule", TrainSchedule)):
-            bad = set(getattr(self, key)) - {f.name for f in fields(cls)}
-            if bad:
-                raise ValueError(f"unknown {key} keys: {sorted(bad)}")
+        # TrainSchedule checks batch_size before make_schedule divides by it;
+        # an unknown key is a TypeError
+        for key, build in (("encoder", partial(EncoderConfig, **DEFAULT_ENCODER)),
+                           ("schedule", partial(TrainSchedule, **DEFAULT_SCHEDULE)),
+                           ("schedule", partial(make_schedule, 1))):
+            try:
+                check_field_types(build(**getattr(self, key)), ValueError, {})
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{key} {getattr(self, key)}: {err}") from err
         if self.beam < 1:
             raise ValueError(f"beam must be >= 1, got {self.beam!r}")
         if self.lm_order < 1:
@@ -86,9 +91,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"acoustic_scale must be > 0, got {self.acoustic_scale!r}"
             )
-        if self.mode == "crosslingual_ft" and self.init_mode != "scratch":
-            if not self.pretrained_path:
-                raise ValueError("crosslingual_ft needs a pretrained checkpoint")
+        if self.finetunes and not self.pretrained_path:
+            raise ValueError("crosslingual_ft needs a pretrained checkpoint")
+
+    @property
+    def finetunes(self):
+        """Whether the run starts from the checkpoint at pretrained_path."""
+        return self.mode == "crosslingual_ft" and self.init_mode != "scratch"
 
 
 # WARD divides by 100 minus the baseline WER; a higher baseline is scored
@@ -300,13 +309,17 @@ class Pipeline:
 # config-driven runner
 
 
-def run_experiment(world, config):
+def run_experiment(world, config, base=None):
     """Execute one experiment config; returns the report dictionary and
     writes results.csv / report.json / history.csv to the output directory.
-    A language code the world lacks raises ``WorldError`` before any work."""
+    ``base`` is the checkpoint at ``config.pretrained_path`` if the caller
+    has loaded it. A language code the world lacks raises ``WorldError``,
+    and a checkpoint that cannot be loaded its error, before any work."""
     world.check_codes(
         list(config.languages) + ([config.ft_language] if config.ft_language else [])
     )
+    if base is None and config.finetunes:
+        base = load_checkpoint(config.pretrained_path)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pipe = Pipeline(
@@ -351,9 +364,6 @@ def run_experiment(world, config):
     else:  # crosslingual_ft
         code = config.ft_language or world.unseen_codes[0]
         scales = list(config.ft_data_scales) or [0]
-        base = None
-        if config.init_mode != "scratch":
-            base = load_checkpoint(config.pretrained_path)
         ft_alphabet = None
         if (config.supervision == "phoneme" and config.forgetting_eval
                 and base is not None):

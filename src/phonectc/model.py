@@ -12,18 +12,16 @@ from __future__ import annotations
 import copy
 import json
 import math
-import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .ctc import (InfeasibleAlignmentError, PosteriorGrid, ctc_grad, ctc_loss,
                   min_frames)
-from .featio import BinaryReader
+from .featio import read_arrays, write_arrays
 from .inventory import Alphabet
 
-MAGIC = b"PCTC"
-VERSION = 1
+FORMAT = 2  # checkpoint layout number in the header; the PCTC files were 1
 LN_EPS = 1e-5
 
 
@@ -59,6 +57,9 @@ class TrainSchedule:
     adam_eps: float = 1e-9
 
     def __post_init__(self):
+        for name in ("total_steps", "batch_size", "max_epochs", "avg_top_k"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0 < self.warmup_fraction < 1:
             raise ValueError("warmup_fraction must lie in (0, 1)")
 
@@ -417,72 +418,41 @@ def write_embeddings_tsv(ckpt, path):
 
 
 def save_checkpoint(ckpt, path):
-    """Versioned binary container: magic, version, alphabet, metadata,
-    then named float64 tensors (name, rank, dims, row-major little-endian)."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        header = {
-            "alphabet": {"kind": ckpt.alphabet.kind, "units": list(ckpt.alphabet.units)},
-            "config": asdict(ckpt.config),
-            "metadata": ckpt.metadata,
-        }
-        blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(ckpt.params)))
-        for name in sorted(ckpt.params):
-            tensor = np.ascontiguousarray(ckpt.params[name], dtype="<f8")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            fh.write(tensor.tobytes())
+    """A ``featio`` container: a ``header`` member holding the UTF-8 JSON of
+    alphabet, config, metadata and the format number, then one float64
+    member per parameter tensor."""
+    header = {
+        "alphabet": {"kind": ckpt.alphabet.kind, "units": list(ckpt.alphabet.units)},
+        "config": asdict(ckpt.config),
+        "format": FORMAT,
+        "metadata": ckpt.metadata,
+    }
+    blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    write_arrays(path, {
+        "header": np.frombuffer(blob, dtype=np.uint8),
+        **{name: np.ascontiguousarray(ckpt.params[name], dtype=np.float64)
+           for name in sorted(ckpt.params)},
+    })
 
 
 def load_checkpoint(path):
-    reader = BinaryReader(path)
-    if reader.read(4) != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (version,) = reader.unpack("<I")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    (hlen,) = reader.unpack("<I")
-    at = reader.pos
-    blob = reader.read(hlen)
+    params = read_arrays(path, "checkpoint")
     try:
-        header = json.loads(blob.decode("utf-8"))
+        header = json.loads(params.pop("header").tobytes().decode("utf-8"))
+        if header["format"] != FORMAT:
+            raise ValueError(f"format {header['format']!r}, not {FORMAT}")
         alphabet = Alphabet(
             units=tuple(header["alphabet"]["units"]),
             kind=header["alphabet"]["kind"],
         )
         config = EncoderConfig(**header["config"])
-        metadata = header.get("metadata", {})
+        metadata = header["metadata"]
     except (ValueError, KeyError, TypeError) as err:
-        raise ValueError(f"{path}: bad header at byte {at}: {err}") from err
-    (ntensors,) = reader.unpack("<I")
-    params = {}
-    for _ in range(ntensors):
-        (nlen,) = reader.unpack("<I")
-        at = reader.pos
-        try:
-            name = reader.read(nlen).decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: bad tensor name at byte {at}: {err}") from err
-        (rank,) = reader.unpack("<I")
-        at = reader.pos
-        dims = reader.unpack(f"<{rank}I")
-        data = np.frombuffer(reader.read(8 * math.prod(dims)), dtype="<f8")
-        try:
-            params[name] = data.reshape(dims).astype(np.float64)
-        except ValueError as err:
-            raise ValueError(f"{path}: bad tensor shape at byte {at}: {err}") from err
-    reader.expect_end()
+        raise ValueError(f"{path}: bad checkpoint header: {err!r}") from err
     expected = _param_shapes(config, len(alphabet))
     for name in sorted(expected.keys() | params.keys()):
-        got = params[name].shape if name in params else "absent"
-        want = expected.get(name, "absent")
+        got = f"{params[name].dtype} {params[name].shape}" if name in params else "absent"
+        want = f"float64 {expected[name]}" if name in expected else "absent"
         if got != want:
             raise ValueError(f"{path}: tensor {name!r} is {got} in the file, "
                              f"but {want} by the header's config and alphabet")

@@ -11,7 +11,8 @@ durations are one draw from it, followed by its noise.
 
 World directory layout::
 
-    world.json
+    world.json       config, universal phoneme set, seen flag per language
+    prototypes.bin   the universal phonemes' feature prototypes
     lang-<code>/
         inventory.txt  g2p.fst.txt  lexicon.tsv
         text.{train,dev,test}.txt   feats.{train,dev,test}.bin
@@ -26,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .featio import read_feature_set, write_feature_set
+from .featio import (read_arrays, read_feature_set, write_arrays,
+                     write_feature_set)
 from .fst import Fst, SymbolTable
 from .inventory import LanguageInventory, read_inventory, write_inventory
 from .textnorm import Prolex
@@ -329,7 +331,7 @@ def write_world(world, out_dir):
     with open(out_dir / "world.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
-    np.save(out_dir / "prototypes.npy", world.prototypes)
+    write_arrays(out_dir / "prototypes.bin", {"prototypes": world.prototypes})
     for code, lang in world.languages.items():
         lang_dir = out_dir / f"lang-{code}"
         lang_dir.mkdir(exist_ok=True)
@@ -346,6 +348,14 @@ def write_world(world, out_dir):
     return out_dir
 
 
+def _read_prototypes(path, shape):
+    arrays = read_arrays(path, "prototypes")
+    layout = {name: (a.dtype, a.shape) for name, a in arrays.items()}
+    if layout != {"prototypes": (np.float64, shape)}:
+        raise WorldError(f"{path}: not one float64 {shape} prototypes member")
+    return arrays["prototypes"]
+
+
 def load_world(path):
     path = Path(path)
     with open(path / "world.json", encoding="utf-8") as fh:
@@ -354,8 +364,12 @@ def load_world(path):
     for key, val in list(cfg_dict.items()):
         if isinstance(val, list):
             cfg_dict[key] = tuple(val)
-    config = SyntheticWorldConfig(**cfg_dict)
-    prototypes = np.load(path / "prototypes.npy")
+    try:
+        config = SyntheticWorldConfig(**cfg_dict)
+    except TypeError as err:  # a key that is no config field
+        raise WorldError(f"{path / 'world.json'}: config: {err}") from err
+    prototypes = _read_prototypes(path / "prototypes.bin",
+                                  (len(manifest["universal"]), config.feature_dim))
     languages = {}
     for code, meta in manifest["languages"].items():
         lang_dir = path / f"lang-{code}"

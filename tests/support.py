@@ -433,3 +433,12 @@ def damage(blob, data):
     if data.draw(st.booleans(), label="pad"):
         return blob + data.draw(st.binary(min_size=1, max_size=16), label="extra")
     return blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+
+
+def flip_bit(blob, data):
+    """``blob`` with one bit, drawn from the Hypothesis ``data``, flipped."""
+    byte = data.draw(st.integers(0, len(blob) - 1), label="byte")
+    bit = data.draw(st.integers(0, 7), label="bit")
+    flipped = bytearray(blob)
+    flipped[byte] ^= 1 << bit
+    return bytes(flipped)

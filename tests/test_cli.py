@@ -122,6 +122,18 @@ def test_tokenizer_roundtrip(runner, world_dir, tmp_path):
     assert result.exit_code == 0
 
 
+def test_tokenizer_train_rejects_small_vocab(runner, world_dir, tmp_path):
+    result = runner.invoke(
+        main,
+        ["tokenizer", "train", "--input", f"{world_dir}/lang-s1/text.train.txt",
+         "--vocab-size", "2", "-o", str(tmp_path / "bpe.model")],
+    )
+    assert result.exit_code == 2, result.output
+    last = result.output.strip().splitlines()[-1]
+    assert last.startswith("Error: ") and "vocab_size 2" in last
+    assert not (tmp_path / "bpe.model").exists()
+
+
 def test_lm_train_and_score(runner, world_dir, tmp_path):
     arpa = tmp_path / "lm.arpa"
     result = runner.invoke(
@@ -273,6 +285,10 @@ def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
                  "mode: monolingual\nlanguages: [s1, 2]\n",
                  "mode: monolingual\nforgetting_eval: maybe\n",
                  "mode: monolingual\nlanguages: [zz]\n",
+                 'mode: monolingual\nschedule: {batch_size: "8"}\n',
+                 "mode: monolingual\nencoder: {hidden_dim: 0}\n",
+                 "mode: monolingual\nschedule: {warmup_fraction: 2}\n",
+                 "mode: monolingual\nschedule: {max_epochs: 0}\n",
                  "mode: crosslingual_ft\ninit_mode: scratch\nft_language: zz\n"):
         cfg.write_text(text)
         result = runner.invoke(
@@ -282,7 +298,10 @@ def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
         assert result.exit_code == 2, text
         assert result.output.strip().splitlines()[-1].startswith("Error: "), text
         assert not (tmp_path / "out").exists(), text
-    for text, code, culprit in BAD_CONFIG_FILES:
+    missing_ckpt = tmp_path / "nope.ckpt"
+    for text, code, culprit in BAD_CONFIG_FILES + [
+            (f"mode: crosslingual_ft\npretrained_path: {missing_ckpt}\n", 1,
+             str(missing_ckpt))]:
         cfg.unlink(missing_ok=True)
         if text is not None:
             cfg.write_text(text)
@@ -333,11 +352,41 @@ def test_train_subword_writes_bpe_model(runner, world_dir, tmp_path):
     assert load_checkpoint(ckpt).alphabet.units == bpe.vocab.units
 
 
+# a checkpoint and a feature set in the formats the package wrote before
+# both became .npz archives: a PCTC version-1 checkpoint (hidden_dim 1,
+# alphabet <b> a) and an FTS0 feature set of one 1 x 2 utterance
+PCTC_V1_CHECKPOINT = bytes.fromhex(
+    "5043544301000000d30000007b22616c706861626574223a207b226b696e6422"
+    "3a202270686f6e656d65222c2022756e697473223a205b223c623e222c202261"
+    "225d7d2c2022636f6e666967223a207b22636f6e765f6b65726e656c223a2031"
+    "2c202264726f706f7574223a20302e302c202268696464656e5f64696d223a20"
+    "312c2022696e7075745f64696d223a20312c20226e756d5f626c6f636b73223a"
+    "20312c202273756273616d706c655f737472696465223a20327d2c20226d6574"
+    "6164617461223a207b2273656564223a20302c202273746570223a20307d7d09"
+    "00000009000000626c6f636b302e623101000000040000000000000000000000"
+    "00000000000000000000000000000000000000000000000009000000626c6f63"
+    "6b302e6232010000000100000000000000000000000b000000626c6f636b302e"
+    "6c6e2e62010000000100000000000000000000000b000000626c6f636b302e6c"
+    "6e2e670100000001000000000000000000f03f09000000626c6f636b302e7731"
+    "020000000400000001000000cc45bde9cfe8c0bf6db068a4577ee43ff0d484ec"
+    "bbdaba3fed43e6183424e1bf09000000626c6f636b302e773202000000010000"
+    "0004000000e6d1ce955f24c73f3c10bd262fdde43fa3bc69bc7c4ede3f28afda"
+    "c1ff84d6bf06000000636f6e762e620100000001000000000000000000000006"
+    "000000636f6e762e77030000000100000001000000010000004184db89ed17c0"
+    "3f050000006f75742e77020000000200000001000000bbc89c952a3ff4bffbf4"
+    "2049ddf1e3bf"
+)
+FTS0_FEATURE_SET = bytes.fromhex(
+    "465453300100000001000000020000000000003f000080bf"
+)
+
+
 @pytest.fixture
 def damaged_files(tmp_path):
     """A good checkpoint, plus a checkpoint and a feature set that each
     carry two trailing bytes, a single-matrix file with a FEAT magic,
-    which is not a feature set, and a path where no file is."""
+    which is not a feature set, a PCTC checkpoint, an FTS0 feature set and
+    a path where no file is."""
     import struct
 
     import numpy as np
@@ -358,8 +407,13 @@ def damaged_files(tmp_path):
     feats.write_bytes(feats.read_bytes() + b"\0\0")
     matrix = tmp_path / "matrix.bin"
     matrix.write_bytes(b"FEAT" + struct.pack("<II", 3, 4) + bytes(4 * 3 * 4))
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_bytes(PCTC_V1_CHECKPOINT)
+    fts0 = tmp_path / "fts0.bin"
+    fts0.write_bytes(FTS0_FEATURE_SET)
     return {"good": str(good), "bad": str(bad), "feats": str(feats),
             "good_feats": str(good_feats), "matrix": str(matrix),
+            "v1": str(v1), "fts0": str(fts0),
             "missing": str(tmp_path / "missing"), "out": str(tmp_path / "out")}
 
 
@@ -387,8 +441,9 @@ def graph_files(tmp_path):
 @pytest.fixture
 def text_files(tmp_path, world_dir):
     """Good graph-build inputs and experiment config, a lexicon with a line
-    of three fields, bytes that are not UTF-8, and a copy of the test world
-    whose config holds a word where a count belongs."""
+    of three fields, bytes that are not UTF-8, and copies of the test world
+    whose config holds a word where a count belongs, or a key that is no
+    config field."""
     from phonectc.ngram import train_ngram
 
     inventory = tmp_path / "inventory.txt"
@@ -407,10 +462,14 @@ def text_files(tmp_path, world_dir):
     manifest = json.loads((bad_world / "world.json").read_text())
     manifest["config"]["num_seen_languages"] = "two"
     (bad_world / "world.json").write_text(json.dumps(manifest))
+    key_world = shutil.copytree(world_dir, tmp_path / "key_world")
+    manifest = json.loads((key_world / "world.json").read_text())
+    manifest["config"]["extra"] = 1
+    (key_world / "world.json").write_text(json.dumps(manifest))
     return {"inventory": str(inventory), "lexicon": str(lexicon),
             "arpa": str(arpa), "three_fields": str(three_fields),
             "noise": str(noise), "config": str(config),
-            "bad_world": str(bad_world)}
+            "bad_world": str(bad_world), "key_world": str(key_world)}
 
 
 @pytest.mark.parametrize("args, culprit", [
@@ -454,6 +513,11 @@ def text_files(tmp_path, world_dir):
     (["eval", "--ref", "{lexicon}", "--hyp", "{noise}"], "noise"),
     (["normalize", "{missing}"], "missing"),
     (["train", "--world", "{bad_world}", "-o", "{out}"], "bad_world"),
+    (["train", "--world", "{key_world}", "-o", "{out}"], "key_world"),
+    (["decode", "--checkpoint", "{v1}", "--features", "{good_feats}",
+      "--lexicon-free"], "v1"),
+    (["decode", "--checkpoint", "{good}", "--features", "{fts0}",
+      "--lexicon-free"], "fts0"),
 ], ids=["decode-checkpoint", "decode-features", "finetune", "embeddings-export",
         "decode-old-graph", "decode-malformed-graph", "decode-missing-checkpoint",
         "decode-missing-graph", "decode-feature-matrix", "g2p-malformed-fst",
@@ -463,7 +527,9 @@ def text_files(tmp_path, world_dir):
         "tokenizer-encode-binary-model", "train-missing-world",
         "finetune-missing-world", "experiment-run-missing-world",
         "lm-score-binary-arpa", "g2p-binary-fst", "eval-binary-hyp",
-        "normalize-missing-input", "train-world-config-type"])
+        "normalize-missing-input", "train-world-config-type",
+        "train-world-config-key", "decode-pctc-v1-checkpoint",
+        "decode-fts0-features"])
 def test_damaged_input_file_is_a_one_line_error(runner, world_dir, damaged_files,
                                                 graph_files, text_files, args,
                                                 culprit):

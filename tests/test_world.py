@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -33,13 +34,17 @@ def world():
 
 def test_feature_set_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
-    mats = [rng.normal(size=(t, 4)) for t in (3, 9, 1)]
+    mats = [rng.normal(size=(t, 4)) for t in (3, 9, 0, 1)]
     p = tmp_path / "s.bin"
     write_feature_set(p, mats)
     back = read_feature_set(p)
-    assert len(back) == 3
+    assert [m.shape for m in back] == [m.shape for m in mats]
     for a, b in zip(mats, back):
         assert np.allclose(a, b, atol=1e-6)
+    with np.load(p) as archive:  # the file is a plain .npz archive
+        assert archive["lengths"].tolist() == [3, 9, 0, 1]
+        assert np.array_equal(archive["frames"],
+                              np.concatenate(mats).astype(np.float32))
 
 
 def test_feature_magic_checked(tmp_path):
@@ -64,6 +69,61 @@ def test_damaged_feature_file_names_path(tmp_path_factory, feature_files, data):
     path.write_bytes(support.damage(feature_files, data))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         read_feature_set(path)
+
+
+def test_empty_feature_set_roundtrip(tmp_path):
+    write_feature_set(tmp_path / "e.bin", [])
+    assert read_feature_set(tmp_path / "e.bin") == []
+
+
+def test_feature_lengths_must_sum_to_frames(tmp_path):
+    path = tmp_path / "s.bin"
+    with open(path, "wb") as fh:
+        np.savez(fh, frames=np.zeros((3, 2), np.float32),
+                 lengths=np.array([1, 1], np.uint32))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_feature_set(path)
+
+
+def loads_identical_or_names_path(path, load, expected):
+    """``load(path)`` raises ValueError naming ``path``, or returns arrays
+    bitwise equal to ``expected``."""
+    try:
+        back = load(path)
+    except ValueError as err:
+        assert str(path) in str(err)
+    else:
+        assert len(back) == len(expected)
+        for a, b in zip(back, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_feature_bit_flip_loads_identical_or_names_path(tmp_path_factory,
+                                                        feature_files, data):
+    good = tmp_path_factory.mktemp("good") / "s.bin"
+    good.write_bytes(feature_files)
+    path = tmp_path_factory.mktemp("flip") / "flip.bin"
+    path.write_bytes(support.flip_bit(feature_files, data))
+    loads_identical_or_names_path(path, read_feature_set, read_feature_set(good))
+
+
+@pytest.fixture(scope="module")
+def prototype_files(tmp_path_factory, world):
+    out = write_world(world, tmp_path_factory.mktemp("world") / "w")
+    return (out / "prototypes.bin").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_prototype_bit_flip_loads_identical_or_names_path(
+        tmp_path_factory, world, prototype_files, data):
+    path = tmp_path_factory.mktemp("flip") / "prototypes.bin"
+    path.write_bytes(support.flip_bit(prototype_files, data))
+    shape = world.prototypes.shape
+    loads_identical_or_names_path(
+        path, lambda p: world_mod._read_prototypes(p, shape), world.prototypes)
 
 
 def test_world_shape(world):
@@ -153,16 +213,27 @@ def test_world_directory_roundtrip(tmp_path, world):
     out = write_world(world, tmp_path / "w")
     back = load_world(out)
     assert back.config == world.config
+    assert back.prototypes.tobytes() == world.prototypes.tobytes()
     assert set(back.languages) == set(world.languages)
     for code in world.languages:
         a, b = world.languages[code], back.languages[code]
         assert a.inventory.units == b.inventory.units
         assert a.sentences == b.sentences
-        for x, y in zip(a.features["dev"], b.features["dev"]):
-            assert np.allclose(x, y, atol=1e-6)
+        for split in a.features:  # features are stored as float32
+            assert [x.astype(np.float32).tobytes() for x in a.features[split]] == [
+                y.astype(np.float32).tobytes() for y in b.features[split]]
         assert b.phoneme_transcript(b.sentences["test"][0]) == a.phoneme_transcript(
             a.sentences["test"][0]
         )
+
+
+def test_unknown_world_config_key_names_file_and_key(tmp_path, world):
+    out = write_world(world, tmp_path / "w")
+    manifest = json.loads((out / "world.json").read_text())
+    manifest["config"]["extra"] = 1
+    (out / "world.json").write_text(json.dumps(manifest))
+    with pytest.raises(WorldError, match=r"world\.json.*'extra'"):
+        load_world(out)
 
 
 def test_config_validation():
