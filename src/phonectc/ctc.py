@@ -4,6 +4,13 @@ All lattice arithmetic is in the log domain with log-sum-exp; the loss is
 the exact negative log marginal over every blank-augmented alignment that
 collapses to the label sequence, computed on the standard 2L+1-state
 interleaved lattice.
+
+``ctc_grad`` runs alpha and beta as one recursion and leaves the log
+marginal it reads off alpha on the grid, keyed by the labels; ``ctc_loss``
+with the same labels returns it instead of running alpha again, so a
+training step costs one lattice pass (Graves et al., ICML 2006). A grid's
+rows must therefore not change after it is made: ``log_probs`` is a
+read-only view.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ class PosteriorGrid:
 
     log_probs: np.ndarray
     alphabet: object = None
+    _marginal = None  # (labels, log marginal) of the last ctc_grad
 
     def __post_init__(self):
         lp = np.asarray(self.log_probs, dtype=np.float64)
@@ -34,7 +42,7 @@ class PosteriorGrid:
         sums = np.logaddexp.reduce(lp, axis=1)
         if not np.all(np.abs(sums) <= 1e-6):
             raise ValueError("rows must be normalized log distributions")
-        object.__setattr__(self, "log_probs", lp)
+        object.__setattr__(self, "log_probs", _read_only(lp))
 
     @property
     def num_frames(self):
@@ -43,6 +51,33 @@ class PosteriorGrid:
     @property
     def num_labels(self):
         return self.log_probs.shape[1]
+
+
+def _read_only(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _softmax_grid(logits, alphabet=None):
+    """The grid of the row-wise log-softmax of ``logits``, made without
+    PosteriorGrid's re-check of the row sums wherever that check cannot fail.
+
+    For finite logits of magnitude at most B over n labels, each of the
+    2(n-1) log-add-exp steps and n subtractions behind a row sum is off by a
+    few units in the last place of a number below B + n, so the row sums to
+    within 10 n (B + n) 2**-53 of 0: below 1e-6 while n (B + n) <= 2**29.
+    Any other logits, non-finite ones included, get the checked grid, which
+    raises exactly where it always did.
+    """
+    log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    n = logits.shape[1]
+    if not n * (np.abs(logits).max(initial=0.0) + n) <= 2**29:
+        return PosteriorGrid(log_probs=log_probs, alphabet=alphabet)
+    grid = object.__new__(PosteriorGrid)
+    object.__setattr__(grid, "log_probs", _read_only(log_probs))
+    object.__setattr__(grid, "alphabet", alphabet)
+    return grid
 
 
 def min_frames(labels):
@@ -115,7 +150,12 @@ def _log_marginal(alpha):
 
 
 def ctc_loss(grid, labels):
-    """Negative log-likelihood of the blank-free label sequence."""
+    """Negative log-likelihood of the blank-free label sequence. When the
+    last ``ctc_grad`` on this grid had the same labels, its marginal is
+    returned and no lattice runs."""
+    labels = tuple(labels)
+    if grid._marginal is not None and grid._marginal[0] == labels:
+        return float(-grid._marginal[1])
     labels = _check_labels(grid, labels)
     states = _interleave(labels)
     alpha = _forward(grid.log_probs[:, states], _skips(states))
@@ -126,21 +166,28 @@ def ctc_grad(grid, labels):
     """Gradient of the loss w.r.t. the logits behind ``grid``.
 
     Equals softmax posterior minus normalized lattice occupancy; each row
-    sums to zero.
+    sums to zero. Leaves the log marginal on the grid for ``ctc_loss``.
     """
     labels = _check_labels(grid, labels)
     lp = grid.log_probs
     states = _interleave(labels)
     emit = lp[:, states]
+    T, S = emit.shape
     # beta is alpha of the time- and state-reversed lattice, reversed back;
-    # the two run as one recursion
-    both = _forward(
-        np.stack((emit, emit[::-1, ::-1]), axis=1),
-        np.stack((_skips(states), _skips(states[::-1]))),
-    )
+    # the two run as one recursion. The reversed lattice skips into its
+    # state i where the forward one skips into S + 1 - i: its mask is the
+    # forward mask's tail reversed behind two -inf, not the mask reversed.
+    pair = np.empty((T, 2, S))
+    pair[:, 0], pair[:, 1] = emit, emit[::-1, ::-1]
+    skip = _skips(states)
+    masks = np.full((2, S), NEG_INF)
+    masks[0], masks[1, 2:] = skip, skip[:1:-1]
+    both = _forward(pair, masks)
     alpha, beta = both[:, 0], both[::-1, 1, ::-1]
+    marginal = _log_marginal(alpha)
+    object.__setattr__(grid, "_marginal", (tuple(labels), marginal))
     # alpha and beta both include the frame-t emission; divide it out once
-    gamma = np.exp(alpha + beta - emit - _log_marginal(alpha))
+    gamma = np.exp(alpha + beta - emit - marginal)
     occupancy = np.zeros(lp.shape)
     np.add.at(occupancy, (slice(None), states), gamma)
     return np.exp(lp) - occupancy

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import check_field_types, is_integer
 from .bpe import LanguageStats, sample_corpus, train_bpe
 from .ctc import prefix_beam_search
 from .decodegraph import DecodeFailureError, build_decode_graph, decode
@@ -37,7 +38,6 @@ from .model import (
 )
 from .ngram import train_ngram, ngram_to_fst
 from .textnorm import Prolex
-from .world import check_field_types, is_integer
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class ExperimentConfig:
                            ("schedule", partial(TrainSchedule, **DEFAULT_SCHEDULE)),
                            ("schedule", partial(make_schedule, 1))):
             try:
-                check_field_types(build(**getattr(self, key)), ValueError, {})
+                build(**getattr(self, key))
             except (TypeError, ValueError) as err:
                 raise ValueError(f"{key} {getattr(self, key)}: {err}") from err
         if self.beam < 1:

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .ctc import (InfeasibleAlignmentError, PosteriorGrid, ctc_grad, ctc_loss,
-                  min_frames)
+from . import check_field_types
+from .ctc import (InfeasibleAlignmentError, PosteriorGrid, _softmax_grid,
+                  ctc_grad, ctc_loss, min_frames)
 from .featio import read_arrays, write_arrays
 from .inventory import Alphabet
 
@@ -35,6 +36,7 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self, ValueError, {})
         for name in ("input_dim", "hidden_dim", "num_blocks", "subsample_stride",
                      "conv_kernel"):
             if getattr(self, name) <= 0:
@@ -57,6 +59,7 @@ class TrainSchedule:
     adam_eps: float = 1e-9
 
     def __post_init__(self):
+        check_field_types(self, ValueError, {})
         for name in ("total_steps", "batch_size", "max_epochs", "avg_top_k"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -220,11 +223,17 @@ def _loss_and_grads(ckpt, x, labels, dropout_rng=None):
     """Frame-normalized CTC loss and parameter gradients for one utterance."""
     p = ckpt.params
     h, caches = _encode(ckpt, x, dropout_rng=dropout_rng)
-    logits = h @ p["out.w"].T
-    log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
-    grid = PosteriorGrid(log_probs=log_probs, alphabet=ckpt.alphabet)
-    loss = ctc_loss(grid, labels) / grid.num_frames
+    grid = _softmax_grid(h @ p["out.w"].T, ckpt.alphabet)
+    # the gradient first: ctc_loss then reads the marginal it left on the grid
     dlogits = ctc_grad(grid, labels) / grid.num_frames
+    loss = ctc_loss(grid, labels) / grid.num_frames
+    return loss, _backward(ckpt, h, caches, dlogits)
+
+
+def _backward(ckpt, h, caches, dlogits):
+    """Parameter gradients from the logits' gradient, through ``_encode``'s
+    caches."""
+    p = ckpt.params
     grads = {"out.w": dlogits.T @ h}
     dh = dlogits @ p["out.w"]
     for name, block_cache, ln_cache in reversed(caches[1:]):
@@ -246,7 +255,7 @@ def _loss_and_grads(ckpt, x, labels, dropout_rng=None):
     dw, db = _conv_backward(dconv, caches[0][1])
     grads["conv.w"] = dw
     grads["conv.b"] = db
-    return loss, grads
+    return grads
 
 
 def evaluate_loss(ckpt, corpus):

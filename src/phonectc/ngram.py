@@ -47,16 +47,6 @@ class NGramModel:
             context = context + (w,)
         return total
 
-    def conditional_distribution(self, context):
-        """{word: probability} over the predictable vocabulary (no <s>)."""
-        out = {}
-        context = tuple(context)[-(self.order - 1) :]
-        for w in self.vocabulary:
-            if w == BOS:
-                continue
-            out[w] = 10.0 ** _score(self.entries, context, w)
-        return out
-
     # ------------------------------------------------------------------
 
     def write_arpa(self, path):

@@ -82,9 +82,6 @@ class Prolex:
     def add(self, word, phonemes, weight=0.0):
         self.entries.setdefault(word, []).append((tuple(phonemes), float(weight)))
 
-    def pronunciations(self, word):
-        return self.entries[word]
-
     def best_pronunciation(self, word):
         return min(self.entries[word], key=lambda pw: (pw[1], pw[0]))
 

@@ -21,12 +21,12 @@ World directory layout::
 from __future__ import annotations
 
 import json
-import numbers
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
+from . import check_field_types, is_integer, is_number
 from .featio import (read_arrays, read_feature_set, write_arrays,
                      write_feature_set)
 from .fst import Fst, SymbolTable
@@ -56,42 +56,6 @@ SPLITS = ("train", "dev", "test")
 
 class WorldError(ValueError):
     pass
-
-
-def is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# field annotation -> (what a value must be, its check)
-_FIELD_TYPES = {
-    "int": ("an integer", is_integer),
-    "float": ("a number", is_number),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "dict": ("a mapping", lambda v: isinstance(v, dict)),
-}
-
-
-def check_field_types(config, error, tuples):
-    """Raise ``error`` naming the first field of the dataclass ``config``, and
-    its value, that is not of the field's annotated type; a bool is not a
-    number. ``tuples`` gives each tuple field as (what it must be, its
-    length or None, the check of each item)."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "tuple":
-            what, length, check = tuples[f.name]
-            ok = (isinstance(value, tuple) and length in (None, len(value))
-                  and all(map(check, value)))
-        else:
-            what, check = _FIELD_TYPES[f.type]
-            ok = check(value)
-        if not ok:
-            raise error(f"{f.name} must be {what}, got {value!r}")
 
 
 _RANGES = ("inventory_size_range", "lexicon_size_range", "word_length_range",

@@ -6,8 +6,11 @@ differences, so agreement is meaningful evidence of correctness. The
 textbook frame-by-frame CTC recursion and the dict-based prefix beam search
 are kept here as the exact references for the library's vectorised ones,
 the composed T o (L o G) graph with its decoder as the exact reference
-for the library's decoder, which applies T on the fly, and the per-phone
-feature synthesis loop as the exact reference for the world generator's.
+for the library's decoder, which applies T on the fly, the per-phone
+feature synthesis loop as the exact reference for the world generator's,
+and the two-pass training step (loss, then gradient) as the exact
+reference for the single-pass one. The n-gram conditional distribution and
+the lexicon lookup are oracles only the tests use.
 """
 
 from functools import lru_cache
@@ -16,7 +19,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from phonectc import BLANK
-from phonectc.ctc import BLANK_ID, NEG_INF, PosteriorGrid
+from phonectc.ctc import BLANK_ID, NEG_INF, PosteriorGrid, ctc_grad, ctc_loss
 from phonectc.decodegraph import (
     DEFAULT_BEAM,
     DecodeFailureError,
@@ -24,7 +27,8 @@ from phonectc.decodegraph import (
     disambiguation_symbols,
 )
 from phonectc.fst import Fst, SymbolTable, compose
-from phonectc.ngram import UNK, NGramError
+from phonectc.model import _backward, _encode
+from phonectc.ngram import BOS, UNK, NGramError, _score
 
 
 def random_grid(rng, T, V1):
@@ -153,6 +157,18 @@ def ctc_grad_reference(grid, labels):
     return np.exp(lp) - occupancy
 
 
+def loss_and_grads_reference(ckpt, x, labels, dropout_rng=None):
+    """``model._loss_and_grads`` as two lattice passes: a checked grid, then
+    ``ctc_loss``, then ``ctc_grad``."""
+    h, caches = _encode(ckpt, x, dropout_rng=dropout_rng)
+    logits = h @ ckpt.params["out.w"].T
+    log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    grid = PosteriorGrid(log_probs=log_probs, alphabet=ckpt.alphabet)
+    loss = ctc_loss(grid, labels) / grid.num_frames
+    dlogits = ctc_grad(grid, labels) / grid.num_frames
+    return loss, _backward(ckpt, h, caches, dlogits)
+
+
 def prefix_beam_search_reference(grid, beam_width=16):
     """The dict-based prefix search, one candidate at a time, for exact
     comparison with the library's array search.
@@ -246,6 +262,19 @@ def fst_sentence_score(g, words):
         total += back[2]
         state = back[3]
     return total + g.finals[state]
+
+
+def conditional_distribution(model, context):
+    """{word: probability} of an ``NGramModel`` over its predictable
+    vocabulary (no <s>)."""
+    context = tuple(context)[-(model.order - 1) :]
+    return {w: 10.0 ** _score(model.entries, context, w)
+            for w in model.vocabulary if w != BOS}
+
+
+def pronunciations(lex, word):
+    """A ``Prolex`` word's (phonemes, weight) pairs."""
+    return lex.entries[word]
 
 
 def build_ctc_topology(alphabet):

@@ -176,7 +176,7 @@ def _oracle_decode(alphabet, lex, g, grid, cache, max_words=3):
     best = None
     for n in range(0, max_words + 1):
         for seq in itertools.product(words, repeat=n):
-            pron_sets = [[p for p, _ in lex.pronunciations(w)] for w in seq]
+            pron_sets = [[p for p, _ in support.pronunciations(lex, w)] for w in seq]
             for combo in itertools.product(*pron_sets):
                 phones = tuple(
                     alphabet.index_of(p) for pron in combo for p in pron
@@ -231,7 +231,7 @@ def test_criterion_06_grammar_fst_matches_model_scores():
                 vocab[i]
                 for i in rng.integers(len(vocab), size=rng.integers(0, order))
             )
-            dist = model.conditional_distribution(ctx)
+            dist = support.conditional_distribution(model, ctx)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-6)
 
 

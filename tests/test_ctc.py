@@ -9,8 +9,10 @@ import support
 from phonectc.ctc import (
     InfeasibleAlignmentError,
     PosteriorGrid,
+    _softmax_grid,
     ctc_grad,
     ctc_loss,
+    min_frames,
     prefix_beam_search,
 )
 
@@ -53,6 +55,56 @@ def test_grid_rejects_non_finite_rows(row):
         PosteriorGrid(log_probs=lp)
 
 
+def test_grid_rows_are_read_only():
+    lp = support.random_grid(np.random.default_rng(15), 3, 4).log_probs.copy()
+    grid = PosteriorGrid(log_probs=lp)
+    with pytest.raises(ValueError):
+        grid.log_probs[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        _softmax_grid(lp).log_probs[0, 0] = 0.0
+    assert lp.flags.writeable  # the caller's array is the caller's
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_unchecked_training_grid_passes_the_check(data):
+    """The logits _softmax_grid trusts give rows PosteriorGrid accepts, at
+    its magnitude bound and with the ties that round worst."""
+    n = data.draw(st.integers(1, 2000), label="n")
+    bound = (2**29 // n - n) * data.draw(st.sampled_from([1.0, 0.5, 1e-3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    logits = bound * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(4, n))
+    logits[0] = bound  # n-way tie at the bound
+    logits[1, : n // 2] = -bound
+    grid = _softmax_grid(logits)
+    assert np.abs(np.logaddexp.reduce(grid.log_probs, axis=1)).max() <= 1e-6
+    PosteriorGrid(log_probs=grid.log_probs)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "row, accepted",
+    [([np.nan, 0.0, 0.0], False), ([np.inf, 0.0, 0.0], False),
+     ([-np.inf] * 3, False), ([1e12, 1e12, 1e12], False),
+     ([-np.inf, 0.0, 1.0], True), ([1e6, 0.0, -1e6], True)],
+    ids=["nan", "plus-inf", "all-minus-inf", "huge-tie", "one-minus-inf",
+         "large"],
+)
+def test_training_grid_raises_where_the_checked_grid_does(row, accepted):
+    logits = np.array([[0.5, -1.0, 2.0], row])
+    lp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    if accepted:
+        got = _softmax_grid(logits, alphabet="A")
+        want = PosteriorGrid(log_probs=lp, alphabet="A")
+        assert np.array_equal(got.log_probs, want.log_probs, equal_nan=True)
+        assert got.alphabet == "A"
+        return
+    with pytest.raises(ValueError, match="normalized"):
+        PosteriorGrid(log_probs=lp)
+    with pytest.raises(ValueError, match="normalized"):
+        _softmax_grid(logits)
+
+
 def _random_lattice(rng):
     """A random feasible (grid, labels), biased towards repeated labels and
     lattices with no frame to spare."""
@@ -82,6 +134,28 @@ def test_loss_and_grad_equal_textbook_recursion():
         assert np.array_equal(
             ctc_grad(grid, labels), support.ctc_grad_reference(grid, labels)
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loss_after_grad_equals_fresh_loss_on_drawn_grids(data):
+    """ctc_grad leaves its marginal on the grid for the same labels only:
+    ctc_loss reads it bit-equal to a fresh alpha pass, and computes any
+    other labels afresh."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    grid, labels = _random_lattice(rng)
+    fresh = lambda ls: ctc_loss(PosteriorGrid(log_probs=grid.log_probs), ls)
+    other = [int(k) for k in rng.integers(1, grid.num_labels,
+                                          size=data.draw(st.integers(0, 4)))]
+    if other == labels or min_frames(other) > grid.num_frames:
+        other = labels[1:] if labels else [1]
+    ctc_grad(grid, labels)
+    assert ctc_loss(grid, other) == fresh(other)
+    assert ctc_loss(grid, np.array(labels, dtype=np.int64)) == fresh(labels)
+    assert ctc_loss(grid, iter(labels)) == fresh(labels)
+    ctc_grad(grid, other)  # the grid holds the last gradient's labels only
+    assert ctc_loss(grid, labels) == fresh(labels)
+    assert ctc_loss(grid, other) == fresh(other)
 
 
 def test_single_frame_single_label():

@@ -168,7 +168,7 @@ def oracle_decode(alphabet, lex, g, grid, max_words=3):
     for n in range(0, max_words + 1):
         for seq in itertools.product(words, repeat=n):
             pron_sets = [
-                [p for p, _ in lex.pronunciations(w)] for w in seq
+                [p for p, _ in support.pronunciations(lex, w)] for w in seq
             ]
             for combo in itertools.product(*pron_sets):
                 phones = tuple(

@@ -16,6 +16,8 @@ from phonectc.experiment import (
     run_experiment,
 )
 from phonectc.model import (
+    EncoderConfig,
+    TrainSchedule,
     init_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -74,6 +76,20 @@ def test_config_validation():
     # any integer is a count and any real number a scale; "all" is a scale
     ExperimentConfig(mode="monolingual", seed=np.int64(1), acoustic_scale=2,
                      ft_data_scales=(20, 0, "all"))
+
+
+def test_encoder_and_schedule_type_errors_name_the_field():
+    for key, name, value in (("schedule", "batch_size", "8"),
+                             ("encoder", "hidden_dim", "16"),
+                             ("encoder", "dropout", True)):
+        what = "a number" if name == "dropout" else "an integer"
+        message = f"{key} {{{name!r}: {value!r}}}: {name} must be {what}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(mode="monolingual", **{key: {name: value}})
+    with pytest.raises(ValueError, match="^hidden_dim must be an integer, got 16.0$"):
+        EncoderConfig(hidden_dim=16.0)
+    with pytest.raises(ValueError, match="^peak_lr must be a number, got '0.1'$"):
+        TrainSchedule(peak_lr="0.1")
 
 
 def test_readme_configs_build():

@@ -95,6 +95,44 @@ def test_model_gradients_match_finite_differences():
             assert got == pytest.approx(fd, abs=1e-5, rel=1e-4), name
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_training_step_on_nan_feature_raises():
+    rng = np.random.default_rng(6)
+    corpus = make_corpus(rng, ALPHABET, n=4)
+    corpus[2][0][3, 1] = np.nan
+    with pytest.raises(ValueError, match="normalized"):
+        _loss_and_grads(small_ckpt(), corpus[2][0], corpus[2][1])
+    schedule = TrainSchedule(total_steps=4, batch_size=2, max_epochs=1)
+    with pytest.raises(ValueError, match="normalized"):
+        train(small_ckpt(), corpus, schedule, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_loss_and_grads_equal_two_pass_reference(data):
+    """One lattice pass gives the bits of the two-pass step: a checked grid,
+    ctc_loss, then ctc_grad."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    config = EncoderConfig(input_dim=4, hidden_dim=6, num_blocks=2,
+                           dropout=data.draw(st.sampled_from([0.0, 0.3])))
+    ckpt = init_checkpoint(config, ALPHABET, seed=int(rng.integers(100)))
+    T = data.draw(st.integers(1, 20), label="T")
+    x = rng.normal(0.0, data.draw(st.sampled_from([1.0, 30.0])), (T, 4))
+    t_out = subsampled_length(T, config.subsample_stride)
+    labels = [int(k) for k in rng.integers(1, len(ALPHABET),
+                                           size=int(rng.integers(0, t_out + 1)))]
+    labels = [k for i, k in enumerate(labels) if not i or k != labels[i - 1]]
+    loss, grads = _loss_and_grads(ckpt, x, labels,
+                                  dropout_rng=np.random.default_rng(seed))
+    want_loss, want = support.loss_and_grads_reference(
+        ckpt, x, labels, dropout_rng=np.random.default_rng(seed))
+    assert loss == want_loss
+    assert grads.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(grads[name], want[name]), name
+
+
 def make_corpus(rng, alphabet, n=12, T=12):
     corpus = []
     for _ in range(n):

@@ -44,7 +44,7 @@ def test_conditional_distributions_sum_to_one():
         corpus = random_corpus(rng, ["a", "b", "c", "d"], 12)
         model = train_ngram(corpus, order=3)
         for context in [(), ("a",), ("a", "b"), ("<s>",), ("zzz",)]:
-            total = sum(model.conditional_distribution(context).values())
+            total = sum(support.conditional_distribution(model, context).values())
             assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -140,5 +140,5 @@ def test_saturated_context_folds_mass():
     corpus = [["a", "b"], ["a", "c"], ["a", UNK], ["b"], ["c"], ["a"]]
     model = train_ngram(corpus, order=2)
     for ctx in [("a",), ("b",)]:
-        total = sum(model.conditional_distribution(ctx).values())
+        total = sum(support.conditional_distribution(model, ctx).values())
         assert total == pytest.approx(1.0, abs=1e-6)
