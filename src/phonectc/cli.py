@@ -147,7 +147,8 @@ def normalize(input_file, out, keep, no_lowercase, strip_mark, reject):
 @main.command()
 @click.argument("words", nargs=-1, required=True)
 @click.option("--fst", "fst_path", required=True, help="G2P transducer (text format).")
-@click.option("--nbest", default=1, show_default=True)
+@click.option("--nbest", default=1, show_default=True,
+              type=click.IntRange(min=1))
 def g2p(words, fst_path, nbest):
     """Print pronunciations: word, phonemes, weight (tab-separated)."""
     from .fst import Fst
@@ -166,17 +167,21 @@ def g2p(words, fst_path, nbest):
 @click.option("--g2p", "fst_path", required=True, help="G2P transducer (text format).")
 @click.option("--words", "words_file", required=True, help="One word per line.")
 @click.option("-o", "--out", required=True, help="Output lexicon TSV.")
-@click.option("--nbest", default=1, show_default=True)
+@click.option("--nbest", default=1, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--stats", is_flag=True, help="Print lexicon statistics as JSON.")
 def lexicon(fst_path, words_file, out, nbest, stats):
     """Build a pronunciation lexicon from a word list and a G2P FST."""
     from .fst import Fst
-    from .textnorm import build_prolex, lexicon_stats
+    from .textnorm import LexiconError, build_prolex, lexicon_stats
 
     transducer = _load(Fst.read_text, fst_path)
     words = [w for w in _read_lines(words_file) if w]
     dropped = []
-    lex = build_prolex(words, transducer, nbest=nbest, report=dropped)
+    try:
+        lex = build_prolex(words, transducer, nbest=nbest, report=dropped)
+    except LexiconError as err:  # no word received a pronunciation
+        raise click.UsageError(f"{words_file}: {err}") from err
     _write(lex.write_tsv, out)
     if dropped:
         click.echo(f"dropped {len(dropped)} unpronounceable word(s)", err=True)
@@ -200,7 +205,8 @@ def tokenizer():
 @click.option("-o", "--out", required=True)
 @click.option("--beta", default=0.5, show_default=True,
               help="Language-balancing exponent.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 def tokenizer_train(inputs, vocab_size, out, beta, seed):
     """Train a BPE model with language-balanced sampling over the inputs."""
     from .bpe import BpeError, LanguageStats, sample_corpus, train_bpe
@@ -247,7 +253,8 @@ def lm():
 
 @lm.command("train")
 @click.option("--input", "input_file", required=True, help="Tokenized text.")
-@click.option("--order", default=4, show_default=True)
+@click.option("--order", default=4, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("-o", "--out", required=True, help="Output ARPA file.")
 @click.option("--fst", "fst_out", default=None,
               help="Also export the backoff acceptor FST here.")
@@ -342,7 +349,8 @@ def world():
 
 @world.command("gen")
 @click.option("-o", "--out", required=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--config", "config_path", default=None,
               help="YAML overriding world-config fields.")
 def world_gen(out, seed, config_path):
@@ -361,7 +369,8 @@ def world_gen(out, seed, config_path):
 @click.option("--supervision", type=click.Choice(["phoneme", "subword"]),
               default="phoneme", show_default=True)
 @click.option("--bpe-vocab-size", default=90, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("-o", "--out", required=True, help="Output checkpoint.")
 def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
     """Train an acoustic model on a world language (or all seen languages)."""
@@ -392,8 +401,10 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
 @click.option("--mode", type=click.Choice(["copy_shared", "random_all"]),
               default="copy_shared", show_default=True)
 @click.option("--utterances", default=0, show_default=True,
+              type=click.IntRange(min=0),
               help="Finetuning utterance budget; 0 = full training split.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("-o", "--out", required=True, help="Output checkpoint.")
 def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     """Finetune a pretrained model on a target language with embedding transfer."""

@@ -2,12 +2,15 @@
 
 The decode cascade is T o L o G: a CTC topology T that collapses
 frame-level unit sequences, a pronunciation lexicon L closed under
-concatenation, and the n-gram grammar acceptor G. Disambiguation symbols
-keep homophones and pronunciation prefixes apart inside L and are erased
-after composition. Only L o G is built; ``decode`` applies T on the fly, as
-EESEN does (Miao, Gowayyed & Metze, 2015), walking the states and arcs of
-the epsilon-filtered composition T o (L o G) without building it. T, L and
-the decoded grids share one alphabet: L keeps the pronunciations it spells.
+concatenation, and the n-gram grammar acceptor G. L spells each
+pronunciation on its own chain of states, so homophones and pronunciation
+prefixes stay apart in L o G without the #k disambiguation symbols of
+Mohri, Pereira & Riley (2008): those exist to make L o G determinizable,
+and nothing here determinizes or minimizes it. Only L o G is built;
+``decode`` applies T on the fly, as EESEN does (Miao, Gowayyed & Metze,
+2015), walking the states and arcs of the epsilon-filtered composition
+T o (L o G) without building it. T, L and the decoded grids share one
+alphabet: L keeps the pronunciations it spells.
 """
 
 from __future__ import annotations
@@ -28,42 +31,11 @@ class DecodeFailureError(RuntimeError):
         self.active = active
 
 
-def assign_disambiguation(prolex):
-    """Per-(word, pronunciation) disambiguation symbol, or None.
-
-    A pronunciation gets a symbol when it is shared with another entry or is
-    a proper prefix of another pronunciation; identical pronunciations get
-    distinct #k symbols so the composed graph keeps the words apart.
-    """
-    all_prons = []
-    for word in sorted(prolex.entries):
-        for phones, weight in prolex.entries[word]:
-            all_prons.append((word, tuple(phones), weight))
-    pron_set = {p for _, p, _ in all_prons}
-    counts = {}
-    for _, p, _ in all_prons:
-        counts[p] = counts.get(p, 0) + 1
-    assignment = {}
-    seen_so_far = {}
-    for word, phones, weight in all_prons:
-        needs = counts[phones] > 1 or any(
-            other != phones and other[: len(phones)] == phones
-            for other in pron_set
-        )
-        if needs:
-            k = seen_so_far.get(phones, 0) + 1
-            seen_so_far[phones] = k
-            assignment[(word, phones)] = f"#{k}"
-        else:
-            assignment[(word, phones)] = None
-    return assignment
-
-
 def build_lexicon_fst(prolex):
-    """Phoneme-to-word transducer, closed via an epsilon back-arc."""
+    """Phoneme-to-word transducer: one chain of phone arcs per pronunciation,
+    from the start state to a final state, closed via an epsilon back-arc."""
     if not prolex.entries:
         raise ValueError("empty lexicon")
-    assignment = assign_disambiguation(prolex)
     l = Fst()
     loop = l.add_state()
     l.set_final(loop, 0.0)
@@ -71,27 +43,21 @@ def build_lexicon_fst(prolex):
         for phones, weight in prolex.entries[word]:
             if not phones:
                 continue
-            disambig = assignment[(word, tuple(phones))]
-            symbols = list(phones) + ([disambig] if disambig else [])
             state = loop
-            for i, sym in enumerate(symbols):
+            for i, phone in enumerate(phones):
                 nxt = l.add_state()
                 osym = word if i == 0 else "<eps>"
                 w = weight if i == 0 else 0.0
-                l.add_arc(state, sym, osym, w, nxt)
+                l.add_arc(state, phone, osym, w, nxt)
                 state = nxt
             l.set_final(state, 0.0)
             l.add_arc(state, "<eps>", "<eps>", 0.0, loop)
     return l.validate()
 
 
-def disambiguation_symbols(l):
-    return [s for s in l.isyms.symbols() if s.startswith("#")]
-
-
 class DecodeGraph:
-    """L o G with disambiguation symbols erased, and the alphabet T is built
-    over: the only alphabet its grids may have.
+    """L o G, and the alphabet T is built over: the only alphabet its grids
+    may have.
 
     A graph file holds L o G alone, so ``read_text`` takes the alphabet from
     the caller; the CLI passes the decoding checkpoint's. An L o G arc whose
@@ -153,13 +119,11 @@ def _resolve_arcs(lg, alphabet):
 
 
 def build_decode_graph(alphabet, prolex, grammar):
-    """L o G with disambiguation symbols erased after composition, over the
-    pronunciations ``alphabet`` can spell; ``decode`` applies T over
-    ``alphabet``'s units. Raises ValueError when no pronunciation is left."""
+    """L o G over the pronunciations ``alphabet`` can spell; ``decode``
+    applies T over ``alphabet``'s units. Raises ValueError when no
+    pronunciation is left."""
     l = build_lexicon_fst(prolex.restricted_to(alphabet))
-    lg = compose(l, grammar)
-    lg.relabel_input_to_eps(disambiguation_symbols(l))
-    return DecodeGraph(lg, alphabet)
+    return DecodeGraph(compose(l, grammar), alphabet)
 
 
 def _epsilon_closure(eps, tokens, limit):

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError(f"beam must be >= 1, got {self.beam!r}")
         if self.lm_order < 1:
             raise ValueError(f"lm_order must be >= 1, got {self.lm_order!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not self.acoustic_scale > 0:
             raise ValueError(
                 f"acoustic_scale must be > 0, got {self.acoustic_scale!r}"

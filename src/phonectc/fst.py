@@ -192,15 +192,6 @@ class Fst:
                 heapq.heappush(heap, (nw + heur[dst], nostr, counter, dst, nw))
         return results
 
-    def relabel_input_to_eps(self, symbols):
-        """Replace the given input symbols with epsilon on every arc."""
-        ids = {self.isyms.id(s) for s in symbols if s in self.isyms}
-        for arcs in self.arcs:
-            for i, (il, ol, w, dst) in enumerate(arcs):
-                if il in ids:
-                    arcs[i] = (0, ol, w, dst)
-        return self
-
     # ------------------------------------------------------------------
     # serialization
 

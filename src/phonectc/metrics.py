@@ -1,4 +1,4 @@
-"""Error-rate metrics: edit distance, pooled corpus rates, WARD, RIPO/RRWER."""
+"""Error-rate metrics: edit distance, pooled corpus rates and WARD."""
 
 from __future__ import annotations
 
@@ -75,32 +75,3 @@ def ward(avg_wer_after, avg_wer_before):
     if avg_wer_before >= 100.0:
         raise ValueError("WARD undefined for a baseline WER of 100% or more")
     return 100.0 * (avg_wer_after - avg_wer_before) / (100.0 - avg_wer_before)
-
-
-def ripo_rrwer(occurrence_counts, wer_pairs, report=None):
-    """Data-sharing analysis across languages.
-
-    ``occurrence_counts``: {language: (base, augmented)} phoneme-occurrence
-    sums counted in the language's own data vs. the full multilingual pool.
-    ``wer_pairs``: {language: (wer_phoneme, wer_subword)}.
-    Returns (rows, slope, intercept) where rows are (language, RIPO%,
-    RRWER%) and the line is the ordinary least-squares fit RRWER ~ RIPO.
-    Languages with a zero base are skipped (collected in ``report``).
-    """
-    rows = []
-    for lang in occurrence_counts:
-        base, augmented = occurrence_counts[lang]
-        if base <= 0:
-            if report is not None:
-                report.append(lang)
-            continue
-        wer_phoneme, wer_subword = wer_pairs[lang]
-        ripo = 100.0 * (augmented - base) / base
-        rrwer = 100.0 * (wer_subword - wer_phoneme) / wer_subword
-        rows.append((lang, ripo, rrwer))
-    if len(rows) < 2:
-        raise ValueError("need at least two languages for a linear fit")
-    x = np.array([r[1] for r in rows])
-    y = np.array([r[2] for r in rows])
-    slope, intercept = np.polyfit(x, y, 1)
-    return rows, float(slope), float(intercept)

@@ -111,6 +111,8 @@ def train_ngram(sentences, order=DEFAULT_ORDER, extra_vocab=()):
     shows them; they share the held-out unigram mass like <unk>, which keeps
     the exported grammar open to every lexicon word.
     """
+    if order < 1:
+        raise NGramError(f"order must be >= 1, got {order!r}")
     sentences = [list(s) for s in sentences]
     if not sentences or all(not s for s in sentences):
         raise NGramError("empty training corpus")

@@ -96,6 +96,8 @@ class SyntheticWorldConfig:
             raise WorldError("language inventory larger than universal set")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise WorldError("split fractions must sum to 1")
+        if self.seed < 0:
+            raise WorldError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass

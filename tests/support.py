@@ -5,12 +5,13 @@ from enumerating every frame-level path, gradients from central finite
 differences, so agreement is meaningful evidence of correctness. The
 textbook frame-by-frame CTC recursion and the dict-based prefix beam search
 are kept here as the exact references for the library's vectorised ones,
-the composed T o (L o G) graph with its decoder as the exact reference
-for the library's decoder, which applies T on the fly, the per-phone
-feature synthesis loop as the exact reference for the world generator's,
-and the two-pass training step (loss, then gradient) as the exact
-reference for the single-pass one. The n-gram conditional distribution and
-the lexicon lookup are oracles only the tests use.
+the composed T o (L o G) graph (the library's L, composed as built) with
+its decoder as the exact reference for the library's decoder, which
+applies T on the fly, the per-phone feature synthesis loop as the exact
+reference for the world generator's, and the two-pass training step
+(loss, then gradient) as the exact reference for the single-pass one. The
+n-gram conditional distribution and the lexicon lookup are oracles only the
+tests use.
 """
 
 from functools import lru_cache
@@ -24,7 +25,6 @@ from phonectc.decodegraph import (
     DEFAULT_BEAM,
     DecodeFailureError,
     build_lexicon_fst,
-    disambiguation_symbols,
 )
 from phonectc.fst import Fst, SymbolTable, compose
 from phonectc.model import _backward, _encode
@@ -307,12 +307,9 @@ def build_ctc_topology(alphabet):
 
 
 def build_decode_graph_reference(alphabet, prolex, grammar):
-    """T o (L o G) with disambiguation symbols erased after composition."""
+    """T o (L o G), composed as built."""
     t = build_ctc_topology(alphabet)
-    l = build_lexicon_fst(prolex)
-    lg = compose(l, grammar)
-    lg.relabel_input_to_eps(disambiguation_symbols(l))
-    return compose(t, lg)
+    return compose(t, compose(build_lexicon_fst(prolex), grammar))
 
 
 def _epsilon_closure_reference(graph, tokens):

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -68,7 +69,8 @@ def test_world_gen_rejects_unknown_key(runner, tmp_path):
             ("utterances_per_language: true\n", 2, "utterances_per_language"),
             ("frames_per_phoneme_range: [2, x]\n", 2,
              "frames_per_phoneme_range"),
-            ("feature_noise_std: loud\n", 2, "feature_noise_std")]:
+            ("feature_noise_std: loud\n", 2, "feature_noise_std"),
+            ("seed: -2\n", 2, "seed")]:
         cfg.unlink(missing_ok=True)
         if text is not None:
             cfg.write_text(text)
@@ -281,6 +283,7 @@ def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
                  "mode: monolingual\nlm_order: 0\n",
                  "mode: monolingual\nacoustic_scale: -1.0\n",
                  "mode: monolingual\nseed: zero\n",
+                 "mode: monolingual\nseed: -1\n",
                  "mode: monolingual\nbeam: 2.5\n",
                  "mode: monolingual\nlanguages: [s1, 2]\n",
                  "mode: monolingual\nforgetting_eval: maybe\n",
@@ -441,7 +444,8 @@ def graph_files(tmp_path):
 @pytest.fixture
 def text_files(tmp_path, world_dir):
     """Good graph-build inputs and experiment config, a lexicon with a line
-    of three fields, bytes that are not UTF-8, and copies of the test world
+    of three fields, bytes that are not UTF-8, a word list with no word any
+    G2P transducer of the test world can spell, and copies of the test world
     whose config holds a word where a count belongs, or a key that is no
     config field."""
     from phonectc.ngram import train_ngram
@@ -456,6 +460,8 @@ def text_files(tmp_path, world_dir):
     three_fields.write_text("ab\ta b\nab\tx y\textra\n")
     noise = tmp_path / "noise.bin"
     noise.write_bytes(b"\xff\xfe" + bytes(range(256)))
+    unspellable = tmp_path / "unspellable.txt"
+    unspellable.write_text("@@\n")
     config = tmp_path / "exp.yaml"
     config.write_text("mode: monolingual\n")
     bad_world = shutil.copytree(world_dir, tmp_path / "bad_world")
@@ -468,7 +474,8 @@ def text_files(tmp_path, world_dir):
     (key_world / "world.json").write_text(json.dumps(manifest))
     return {"inventory": str(inventory), "lexicon": str(lexicon),
             "arpa": str(arpa), "three_fields": str(three_fields),
-            "noise": str(noise), "config": str(config),
+            "noise": str(noise), "unspellable": str(unspellable),
+            "config": str(config),
             "bad_world": str(bad_world), "key_world": str(key_world)}
 
 
@@ -608,3 +615,38 @@ def test_unwritable_output_is_a_one_line_error(runner, world_dir, damaged_files,
     assert len(lines) == 1
     assert lines[0].startswith("Error: ")
     assert culprit.format(**files) in lines[0]
+
+
+# each numeric option given a value below its range, and that option; and a
+# word list of which no word gets a pronunciation, and that file
+@pytest.mark.parametrize("args, culprit", [
+    (["lm", "train", "--input", "{lexicon}", "--order", "0", "-o", "{out}"],
+     "--order"),
+    (["g2p", "--fst", "{g2p}", "--nbest", "0", "ab"], "--nbest"),
+    (["lexicon", "--g2p", "{g2p}", "--words", "{inventory}", "--nbest", "0",
+      "-o", "{out}"], "--nbest"),
+    (["tokenizer", "train", "--input", "{lexicon}", "--vocab-size", "12",
+      "--seed", "-1", "-o", "{out}"], "--seed"),
+    (["world", "gen", "--seed", "-1", "-o", "{out}"], "--seed"),
+    (["train", "--world", "{world}", "--language", "s1", "--seed", "-1",
+      "-o", "{out}"], "--seed"),
+    (["finetune", "--world", "{world}", "--pretrained", "{world_ckpt}",
+      "--language", "u1", "--seed", "-1", "-o", "{out}"], "--seed"),
+    (["finetune", "--world", "{world}", "--pretrained", "{world_ckpt}",
+      "--language", "u1", "--utterances", "-5", "-o", "{out}"],
+     "--utterances"),
+    (["lexicon", "--g2p", "{g2p}", "--words", "{unspellable}", "-o", "{out}"],
+     "{unspellable}"),
+], ids=["lm-train-order", "g2p-nbest", "lexicon-nbest", "tokenizer-train-seed",
+        "world-gen-seed", "train-seed", "finetune-seed", "finetune-utterances",
+        "lexicon-no-pronounceable-word"])
+def test_rejected_value_is_a_one_line_error(runner, world_dir, damaged_files,
+                                            text_files, output_inputs, args,
+                                            culprit):
+    files = {**damaged_files, **text_files, **output_inputs, "world": world_dir}
+    result = runner.invoke(main, [a.format(**files) for a in args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    last = result.output.strip().splitlines()[-1]
+    assert last.startswith("Error: ") and culprit.format(**files) in last
+    assert not Path(files["out"]).exists()

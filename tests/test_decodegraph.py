@@ -10,11 +10,9 @@ from phonectc import BLANK
 from phonectc.ctc import PosteriorGrid
 from phonectc.decodegraph import (
     DecodeFailureError,
-    assign_disambiguation,
     build_decode_graph,
     build_lexicon_fst,
     decode,
-    disambiguation_symbols,
 )
 from phonectc.fst import Fst, compose, make_string_acceptor
 from phonectc.inventory import Alphabet, make_alphabet
@@ -50,19 +48,23 @@ def test_topology_matches_greedy_collapse():
         assert transduce(t, seq) == want
 
 
-def test_disambiguation_homophones_and_prefixes():
+def test_lexicon_fst_spells_each_pronunciation_on_one_chain():
     lex = Prolex()
     lex.add("a", ["x"])
     lex.add("b", ["x"])
     lex.add("go", ["g", "o"])
     lex.add("goal", ["g", "o", "l"])
     lex.add("solo", ["s"])
-    assignment = assign_disambiguation(lex)
-    assert assignment[("a", ("x",))] == "#1"
-    assert assignment[("b", ("x",))] == "#2"
-    assert assignment[("go", ("g", "o"))] == "#1"  # proper prefix of goal
-    assert assignment[("goal", ("g", "o", "l"))] is None
-    assert assignment[("solo", ("s",))] is None
+    l = build_lexicon_fst(lex)
+    prons = [p for w in lex.entries for p, _ in lex.entries[w]]
+    assert l.num_states == 1 + sum(map(len, prons))
+    assert set(l.isyms.symbols()) == {"<eps>", "x", "g", "o", "l", "s"}
+    # the start state, and one per pronunciation whose only arc is the
+    # epsilon back-arc to the start
+    ends = set(l.finals) - {l.start}
+    assert len(ends) == len(prons)
+    eps = l.isyms.id("<eps>")
+    assert all(l.arcs[s] == [(eps, eps, 0.0, l.start)] for s in ends)
 
 
 def test_lexicon_fst_single_entry():
@@ -78,7 +80,6 @@ def test_lexicon_fst_homophones_both_decodable():
     lex.add("a", ["x"])
     lex.add("b", ["x"])
     l = build_lexicon_fst(lex)
-    l.relabel_input_to_eps(disambiguation_symbols(l))
     acc = make_string_acceptor(["x"], table=l.isyms)
     strings = {s for s, _ in compose(acc, l).nbest_strings(4)}
     assert strings == {("a",), ("b",)}
@@ -89,7 +90,6 @@ def test_lexicon_fst_prefix_pair_decodable():
     lex.add("go", ["g", "o"])
     lex.add("goal", ["g", "o", "l"])
     l = build_lexicon_fst(lex)
-    l.relabel_input_to_eps(disambiguation_symbols(l))
     for phones, word in [(["g", "o"], "go"), (["g", "o", "l"], "goal"),
                          (["g", "o", "g", "o"], "go go")]:
         acc = make_string_acceptor(phones, table=l.isyms)

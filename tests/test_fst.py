@@ -164,16 +164,6 @@ def test_nbest_ignores_dead_loops():
     assert f.nbest_strings(3) == [(("x",), pytest.approx(1.0))]
 
 
-def test_relabel_input_to_eps():
-    f = Fst()
-    for _ in range(2):
-        f.add_state()
-    f.add_arc(0, "#1", "w", 0.25, 1)
-    f.set_final(1, 0.0)
-    f.relabel_input_to_eps(["#1"])
-    assert enumerate_paths(f) == {((), ("w",)): 0.25}
-
-
 def test_string_acceptor():
     acc = make_string_acceptor(["a", "b", "a"])
     assert enumerate_paths(acc) == {(("a", "b", "a"), ("a", "b", "a")): 0.0}

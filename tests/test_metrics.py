@@ -8,7 +8,6 @@ import support
 from phonectc.metrics import (
     corpus_rate,
     edit_distance,
-    ripo_rrwer,
     ward,
 )
 
@@ -82,40 +81,3 @@ def test_ward_edges():
     assert ward(100.0, 0.0) == 100.0
     with pytest.raises(ValueError):
         ward(50.0, 100.0)
-
-
-def test_ripo_trivial_cases():
-    counts = {"l1": (15, 150), "l2": (10, 10)}
-    wers = {"l1": (5.0, 10.0), "l2": (8.0, 10.0)}
-    rows, slope, intercept = ripo_rrwer(counts, wers)
-    by_lang = {r[0]: r for r in rows}
-    assert by_lang["l1"][1] == pytest.approx(900.0)
-    assert by_lang["l2"][1] == pytest.approx(0.0)
-    assert by_lang["l1"][2] == pytest.approx(50.0)  # (10-5)/10
-
-
-def test_ripo_fit_recovers_line():
-    # three collinear points: RRWER = 0.5 * RIPO + 2
-    counts = {"a": (10, 20), "b": (10, 30), "c": (10, 40)}
-
-    def wer_pair(ripo):
-        rr = 0.5 * ripo + 2.0
-        return (100 - rr, 100.0)  # RRWER = 100*(ws-wp)/ws with ws=100
-
-    wers = {
-        "a": wer_pair(100.0),
-        "b": wer_pair(200.0),
-        "c": wer_pair(300.0),
-    }
-    _, slope, intercept = ripo_rrwer(counts, wers)
-    assert slope == pytest.approx(0.5, abs=1e-9)
-    assert intercept == pytest.approx(2.0, abs=1e-6)
-
-
-def test_ripo_skips_zero_base():
-    counts = {"a": (0, 5), "b": (10, 20), "c": (10, 40)}
-    wers = {"b": (1.0, 2.0), "c": (1.0, 2.0)}
-    report = []
-    rows, _, _ = ripo_rrwer(counts, wers, report=report)
-    assert report == ["a"]
-    assert len(rows) == 2

@@ -66,6 +66,12 @@ def test_empty_corpus_rejected():
         train_ngram([[]])
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_order_below_one_rejected(order):
+    with pytest.raises(NGramError, match=f"order must be >= 1, got {order}"):
+        train_ngram([["a"]], order=order)
+
+
 def test_arpa_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     model = train_ngram(random_corpus(rng, ["a", "b", "c"], 10), order=3)
