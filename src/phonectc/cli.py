@@ -9,6 +9,7 @@ generation, and config-driven experiments.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 from dataclasses import replace
 from functools import partial
@@ -385,7 +386,10 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
     if supervision == "subword":
         bpe = pipe.train_bpe_model(seed, bpe_vocab_size)
         _write(bpe.save, str(out) + ".bpe")
-    ckpt, history = pipe.train_languages(codes, seed, supervision, bpe)
+    try:  # every utterance CTC-infeasible, or none to train on
+        ckpt, history = pipe.train_languages(codes, seed, supervision, bpe)
+    except ValueError as err:
+        raise click.UsageError(f"{world_dir}: {err}") from err
     _write(partial(save_checkpoint, ckpt), out)
     last = history["epochs"][-1]
     click.echo(
@@ -416,7 +420,10 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     _check_codes(pipe.world, [language])
     base = _load(load_checkpoint, pretrained_path)
     n = utterances or None
-    ckpt, history = pipe.finetune(base, language, seed, n_utts=n, mode=mode)
+    try:  # every utterance CTC-infeasible, or none to train on
+        ckpt, history = pipe.finetune(base, language, seed, n_utts=n, mode=mode)
+    except ValueError as err:
+        raise click.UsageError(f"{world_dir}: {err}") from err
     _write(partial(save_checkpoint, ckpt), out)
     click.echo(f"epochs={history['epochs'][-1]['epoch']}")
 
@@ -536,9 +543,15 @@ def experiment_run(world_dir, config_path, out):
     # a bad language code or checkpoint leaves no output directory behind
     _check_codes(world, [*config.languages, *filter(None, [config.ft_language])])
     base = _load(load_checkpoint, config.pretrained_path) if config.finetunes else None
+    made = not Path(config.output_dir).exists()
     _write(lambda d: Path(d).mkdir(parents=True, exist_ok=True),
            config.output_dir)
-    report = run_experiment(world, config, base)
+    try:  # training data the model cannot learn from
+        report = run_experiment(world, config, base)
+    except ValueError as err:
+        if made:
+            shutil.rmtree(config.output_dir)
+        raise click.UsageError(f"{world_dir}: {err}") from err
     click.echo(json.dumps(report, ensure_ascii=False, sort_keys=True))
 
 

@@ -10,12 +10,14 @@ and nothing here determinizes or minimizes it. Only L o G is built;
 ``decode`` applies T on the fly, as EESEN does (Miao, Gowayyed & Metze,
 2015), walking the states and arcs of the epsilon-filtered composition
 T o (L o G) without building it. T, L and the decoded grids share one
-alphabet: L keeps the pronunciations it spells.
+alphabet: L keeps the pronunciations it spells. L o G's epsilon-input
+arcs must close no cycle; building a graph's arc tables checks that.
 """
 
 from __future__ import annotations
 
 import heapq
+from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
 
 from . import BLANK
@@ -115,6 +117,11 @@ def _resolve_arcs(lg, alphabet):
         units.sort(key=itemgetter(0))  # stable: arc order within a unit
         eps_table.append(eps)
         unit_table.append(units)
+    try:
+        TopologicalSorter({state: {dst for _, _, dst in eps}
+                           for state, eps in enumerate(eps_table)}).prepare()
+    except CycleError as err:
+        raise DecodeFailureError("epsilon cycle in decode graph") from err
     return eps_table, unit_table
 
 
@@ -126,13 +133,12 @@ def build_decode_graph(alphabet, prolex, grammar):
     return DecodeGraph(compose(l, grammar), alphabet)
 
 
-def _epsilon_closure(eps, tokens, limit):
+def _epsilon_closure(eps, tokens):
     """Relax L o G epsilon-input arcs until stable; tokens map (T state,
     L o G state, filter) -> (cost, words). Filter 2 (T just moved alone)
     blocks them, and they lead to filter 1. A key with no such arcs is
     never queued, since popping it would change nothing."""
     queue = [key for key in tokens if key[2] != 2 and eps[key[1]]]
-    guard = 0
     while queue:
         key = queue.pop()
         cost, words = tokens[key]
@@ -145,9 +151,6 @@ def _epsilon_closure(eps, tokens, limit):
                 tokens[nkey] = cand
                 if eps[dst]:
                     queue.append(nkey)
-                guard += 1
-                if guard > limit:
-                    raise DecodeFailureError("epsilon cycle in decode graph")
     return tokens
 
 
@@ -162,22 +165,20 @@ def decode(grid, graph, beam=DEFAULT_BEAM, acoustic_scale=1.0):
     unit arcs, and L o G epsilon arcs alone only in the epsilon closure.
     Frame-t arc cost is ``acoustic_scale * -log P(unit | x_t)`` plus the
     graph weight; at most ``beam`` tokens survive each frame (``beam=None``
-    disables pruning), the cut keeping ties in arrival order. An epsilon
-    closure that makes more than 50 M**2 relaxations is taken to be a
-    negative epsilon cycle, where M = 3 (1 + |U|) |LG| bounds the token
-    keys for the |U| units of the graph's alphabet and the |LG| states of
-    L o G. Returns (word sequence, total weight). A grid over any alphabet
-    but the graph's, or with none, is a ValueError.
+    disables pruning), the cut keeping ties in arrival order. The graph's
+    epsilon-input arcs must close no cycle: the first decode builds its arc
+    tables and checks that once, and a graph whose arcs close one fails
+    every decode with "epsilon cycle in decode graph". Returns (word
+    sequence, total weight). A grid over any alphabet but the graph's, or
+    with none, is a ValueError.
     """
     if grid.alphabet != graph.alphabet:
         raise ValueError("graph decoding needs a grid over the graph's alphabet")
     if graph._arc_tables is None:
         graph._arc_tables = _resolve_arcs(graph.lg, graph.alphabet)
     eps, units = graph._arc_tables
-    keys = 3 * len(graph.alphabet) * max(1, graph.num_states)
-    limit = 50 * keys * keys
     scores = (acoustic_scale * -grid.log_probs).tolist()
-    tokens = _epsilon_closure(eps, {(0, graph.lg.start, 0): (0.0, ())}, limit)
+    tokens = _epsilon_closure(eps, {(0, graph.lg.start, 0): (0.0, ())})
     for t in range(grid.num_frames):
         row = scores[t]
         nxt = {}
@@ -211,7 +212,7 @@ def decode(grid, graph, beam=DEFAULT_BEAM, acoustic_scale=1.0):
             raise DecodeFailureError(
                 f"no surviving token at frame {t}", frame=t, active=len(tokens)
             )
-        tokens = _epsilon_closure(eps, nxt, limit)
+        tokens = _epsilon_closure(eps, nxt)
         if beam is not None and len(tokens) > beam:
             tokens = dict(heapq.nsmallest(beam, tokens.items(), key=itemgetter(1)))
     best = None

@@ -242,8 +242,7 @@ class Pipeline:
             ref = list(lang.phoneme_transcript(sent))
             grid = forward(ckpt, feats)
             hyps = prefix_beam_search(grid, beam_width=self.beam)
-            hyp = ckpt.alphabet.decode(hyps[0][0]) if hyps else []
-            pairs.append((ref, hyp))
+            pairs.append((ref, ckpt.alphabet.decode(hyps[0][0])))
         return corpus_rate(pairs)
 
     def _grammar(self, code):
@@ -293,17 +292,18 @@ class Pipeline:
             pairs.append((sent.split(), words))
         return corpus_rate(pairs), failures
 
-    def avg_seen_wer(self, ckpt, split="test", supervision="phoneme", bpe=None):
+    def avg_seen_wer(self, ckpt, supervision="phoneme", bpe=None):
+        """Mean test WER over the seen languages."""
         wers = [
-            self.eval_wer(ckpt, c, split, supervision, bpe)[0]
+            self.eval_wer(ckpt, c, "test", supervision, bpe)[0]
             for c in self.world.seen_codes
         ]
         return float(np.mean(wers))
 
     def forgetting_ward(self, pretrained, ft_ckpt, supervision="phoneme",
-                        bpe=None, split="test"):
-        before = self.avg_seen_wer(pretrained, split, supervision, bpe)
-        after = self.avg_seen_wer(ft_ckpt, split, supervision, bpe)
+                        bpe=None):
+        before = self.avg_seen_wer(pretrained, supervision, bpe)
+        after = self.avg_seen_wer(ft_ckpt, supervision, bpe)
         return ward(after, min(before, WARD_BASELINE_CAP)), before, after
 
 

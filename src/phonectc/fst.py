@@ -15,6 +15,7 @@ from collections import deque
 
 EPS = "<eps>"
 INF = float("inf")
+NBEST_MAX_POPS = 2_000_000  # nbest_strings stops after this many heap pops
 
 
 class FstError(ValueError):
@@ -150,7 +151,7 @@ class Fst:
                         inq[dst] = True
         return dist
 
-    def nbest_strings(self, n, max_pops=2_000_000):
+    def nbest_strings(self, n):
         """Up to ``n`` distinct lowest-weight output strings.
 
         Returns ``[(output symbols tuple, weight)]`` sorted by weight with a
@@ -171,7 +172,7 @@ class Fst:
         # so the first completion popped per string is optimal.
         heap = [(heur[self.start], (), counter, self.start, 0.0)]
         pops = 0
-        while heap and len(results) < n and pops < max_pops:
+        while heap and len(results) < n and pops < NBEST_MAX_POPS:
             est, ostr, _, state, w = heapq.heappop(heap)
             pops += 1
             if state is None:

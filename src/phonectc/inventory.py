@@ -110,7 +110,7 @@ def make_alphabet(units, kind="phoneme"):
     return Alphabet(units=(BLANK,) + tuple(sorted(units)), kind=kind)
 
 
-def build_union_alphabet(inventories, kind="phoneme"):
+def build_union_alphabet(inventories):
     """Union alphabet over seen-language inventories, blank included.
 
     Deterministic regardless of inventory order; size is 1 + |union|.
@@ -120,7 +120,7 @@ def build_union_alphabet(inventories, kind="phoneme"):
     union = set()
     for inv in inventories:
         union |= inv.units
-    return make_alphabet(union, kind=kind)
+    return make_alphabet(union)
 
 
 def read_inventory(path, language_code=None):

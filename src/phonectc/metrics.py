@@ -1,10 +1,8 @@
-"""Error-rate metrics: edit distance, pooled corpus rates and WARD."""
+"""Error-rate metrics: two-row edit distance, pooled corpus rates and WARD."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -20,41 +18,31 @@ class ErrorCounts:
 
 
 def edit_distance(reference, hypothesis):
-    """Minimal unit-cost alignment counts.
+    """Minimal unit-cost alignment counts, in one pass over two rows.
 
-    Backtrace ties prefer substitution over insertion over deletion; the
-    split can differ between equally minimal alignments but the total never
-    does.
+    Each cell carries the (total, S, D, I) of the alignment that a backtrace
+    from it picks, preferring substitution or match, then insertion, then
+    deletion; the split can differ between equally minimal alignments but
+    the total never does.
     """
     ref = list(reference)
     hyp = list(hypothesis)
-    n, m = len(ref), len(hyp)
-    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(n + 1)
-    dist[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sub = dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
-            ins = dist[i, j - 1] + 1
-            dele = dist[i - 1, j] + 1
-            dist[i, j] = min(sub, ins, dele)
-    s = d = ins_count = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + (
-            ref[i - 1] != hyp[j - 1]
-        ):
-            if ref[i - 1] != hyp[j - 1]:
-                s += 1
-            i -= 1
-            j -= 1
-        elif j > 0 and dist[i, j] == dist[i, j - 1] + 1:
-            ins_count += 1
-            j -= 1
-        else:
-            d += 1
-            i -= 1
-    return ErrorCounts(s, d, ins_count, n)
+    prev = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
+    for i, r in enumerate(ref, 1):
+        row = [(i, 0, i, 0)]
+        for j, h in enumerate(hyp, 1):
+            diag, left, up = prev[j - 1], row[j - 1], prev[j]
+            cost = r != h
+            best = min(diag[0] + cost, left[0] + 1, up[0] + 1)
+            if diag[0] + cost == best:
+                row.append((best, diag[1] + cost, diag[2], diag[3]))
+            elif left[0] + 1 == best:
+                row.append((best, left[1], left[2], left[3] + 1))
+            else:
+                row.append((best, up[1], up[2] + 1, up[3]))
+        prev = row
+    _, s, d, ins = prev[-1]
+    return ErrorCounts(s, d, ins, len(ref))
 
 
 def corpus_rate(pairs):

@@ -96,6 +96,18 @@ class SyntheticWorldConfig:
             raise WorldError("language inventory larger than universal set")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise WorldError("split fractions must sum to 1")
+        for name in ("num_seen_languages", "low_resource_utterances"):
+            value = getattr(self, name)
+            if value < 1:
+                raise WorldError(f"{name} must be >= 1, got {value!r}")
+        splits = _split(range(self.utterances_per_language), self.split_fractions)
+        empty = [split for split in SPLITS if not splits[split]]
+        if empty:
+            raise WorldError(
+                f"split_fractions {self.split_fractions!r} leave the "
+                f"{'/'.join(empty)} split of utterances_per_language "
+                f"{self.utterances_per_language!r} empty"
+            )
         if self.seed < 0:
             raise WorldError(f"seed must be >= 0, got {self.seed!r}")
 

@@ -409,12 +409,10 @@ def ctc_grad_fd(logits, labels, h=1e-6):
     return g
 
 
-def edit_distance_recursive(ref, hyp):
-    """Exponential-time textbook recursion (memoized) for small inputs."""
+def _prefix_distances(ref, hyp):
+    """The textbook recursion (memoized): d(i, j) is the edit distance of
+    ref[:i] and hyp[:j]."""
     from functools import lru_cache
-
-    ref = tuple(ref)
-    hyp = tuple(hyp)
 
     @lru_cache(maxsize=None)
     def d(i, j):
@@ -428,7 +426,36 @@ def edit_distance_recursive(ref, hyp):
             d(i, j - 1) + 1,
         )
 
-    return d(len(ref), len(hyp))
+    return d
+
+
+def edit_distance_recursive(ref, hyp):
+    """Exponential-time textbook recursion (memoized) for small inputs."""
+    ref = tuple(ref)
+    hyp = tuple(hyp)
+    return _prefix_distances(ref, hyp)(len(ref), len(hyp))
+
+
+def edit_counts_reference(ref, hyp):
+    """(substitutions, deletions, insertions) of the alignment found by
+    walking back from (len(ref), len(hyp)) over the recursion's distances,
+    preferring substitution or match, then insertion, then deletion."""
+    ref = tuple(ref)
+    hyp = tuple(hyp)
+    d = _prefix_distances(ref, hyp)
+    i, j = len(ref), len(hyp)
+    subs = dels = ins = 0
+    while i or j:
+        if i and j and d(i, j) == d(i - 1, j - 1) + (ref[i - 1] != hyp[j - 1]):
+            subs += ref[i - 1] != hyp[j - 1]
+            i, j = i - 1, j - 1
+        elif j and d(i, j) == d(i, j - 1) + 1:
+            ins += 1
+            j -= 1
+        else:
+            dels += 1
+            i -= 1
+    return subs, dels, ins
 
 
 def make_features_reference(rng, config, lang, universal, prototypes):

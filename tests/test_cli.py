@@ -70,7 +70,11 @@ def test_world_gen_rejects_unknown_key(runner, tmp_path):
             ("frames_per_phoneme_range: [2, x]\n", 2,
              "frames_per_phoneme_range"),
             ("feature_noise_std: loud\n", 2, "feature_noise_std"),
-            ("seed: -2\n", 2, "seed")]:
+            ("seed: -2\n", 2, "seed"),
+            ("split_fractions: [0.5, 0.5, 0.0]\n", 2, "split_fractions"),
+            ("utterances_per_language: 2\n", 2, "utterances_per_language"),
+            ("num_seen_languages: 0\n", 2, "num_seen_languages"),
+            ("low_resource_utterances: 0\n", 2, "low_resource_utterances")]:
         cfg.unlink(missing_ok=True)
         if text is not None:
             cfg.write_text(text)
@@ -617,8 +621,23 @@ def test_unwritable_output_is_a_one_line_error(runner, world_dir, damaged_files,
     assert culprit.format(**files) in lines[0]
 
 
-# each numeric option given a value below its range, and that option; and a
-# word list of which no word gets a pronunciation, and that file
+@pytest.fixture(scope="module")
+def infeasible_world(tmp_path_factory):
+    """A world of one frame per phoneme: the encoder's stride of 2 leaves
+    every utterance fewer frames than labels, so no utterance can train."""
+    from phonectc.world import SyntheticWorldConfig, generate_world, write_world
+
+    cfg = SyntheticWorldConfig(
+        num_seen_languages=2, num_unseen=1, utterances_per_language=16,
+        low_resource_utterances=10, lexicon_size_range=(10, 12),
+        frames_per_phoneme_range=(1, 1), seed=8,
+    )
+    return str(write_world(generate_world(cfg), tmp_path_factory.mktemp("w")))
+
+
+# each numeric option given a value below its range, and that option; a
+# word list of which no word gets a pronunciation, and that file; and each
+# training command on a world it cannot train on, and that world
 @pytest.mark.parametrize("args, culprit", [
     (["lm", "train", "--input", "{lexicon}", "--order", "0", "-o", "{out}"],
      "--order"),
@@ -637,16 +656,39 @@ def test_unwritable_output_is_a_one_line_error(runner, world_dir, damaged_files,
      "--utterances"),
     (["lexicon", "--g2p", "{g2p}", "--words", "{unspellable}", "-o", "{out}"],
      "{unspellable}"),
+    (["train", "--world", "{infeasible}", "--language", "s1", "-o", "{out}"],
+     "{infeasible}: every utterance is CTC-infeasible"),
+    (["finetune", "--world", "{infeasible}", "--pretrained", "{world_ckpt}",
+      "--language", "u1", "-o", "{out}"],
+     "{infeasible}: every utterance is CTC-infeasible"),
+    (["experiment", "run", "--world", "{infeasible}", "--config", "{config}",
+      "-o", "{out}"], "{infeasible}: every utterance is CTC-infeasible"),
 ], ids=["lm-train-order", "g2p-nbest", "lexicon-nbest", "tokenizer-train-seed",
         "world-gen-seed", "train-seed", "finetune-seed", "finetune-utterances",
-        "lexicon-no-pronounceable-word"])
+        "lexicon-no-pronounceable-word", "train-infeasible-world",
+        "finetune-infeasible-world", "experiment-run-infeasible-world"])
 def test_rejected_value_is_a_one_line_error(runner, world_dir, damaged_files,
-                                            text_files, output_inputs, args,
-                                            culprit):
-    files = {**damaged_files, **text_files, **output_inputs, "world": world_dir}
+                                            text_files, output_inputs,
+                                            infeasible_world, args, culprit):
+    files = {**damaged_files, **text_files, **output_inputs, "world": world_dir,
+             "infeasible": infeasible_world}
     result = runner.invoke(main, [a.format(**files) for a in args])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     last = result.output.strip().splitlines()[-1]
     assert last.startswith("Error: ") and culprit.format(**files) in last
     assert not Path(files["out"]).exists()
+
+
+def test_experiment_run_keeps_an_output_directory_it_did_not_make(
+        runner, infeasible_world, tmp_path):
+    config = tmp_path / "exp.yaml"
+    config.write_text("mode: monolingual\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("x")
+    result = runner.invoke(main, ["experiment", "run", "--world", infeasible_world,
+                                  "--config", str(config), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines()[-1].startswith("Error: ")
+    assert (out / "kept.txt").read_text() == "x"

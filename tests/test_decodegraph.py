@@ -400,3 +400,48 @@ def test_decode_equals_reference_on_drawn_worlds(data):
     assert outcome(decode, grid, graph, **kw) == outcome(
         support.decode_reference, grid, reference, **kw
     )
+
+
+
+def negative_self_loop_graph():
+    """A trigram L o G of over 2,000 states with a negative epsilon
+    self-loop at its start, which the first frame's epsilon closure would
+    relax without end."""
+    rng = np.random.default_rng(16)
+    units = list("ptkmnsaeiou")
+    lex = Prolex()
+    for i in range(60):
+        n = int(rng.integers(2, 5))
+        lex.add(f"w{i}", [units[k] for k in rng.integers(len(units), size=n)])
+    words = sorted(lex.words())
+    corpus = [[words[k] for k in rng.integers(len(words), size=int(n))]
+              for n in rng.integers(2, 5, size=150)]
+    graph = build_decode_graph(make_alphabet(units), lex, ngram_to_fst(
+        train_ngram(corpus, order=3, extra_vocab=words)))
+    assert graph.num_states >= 2000
+    graph.lg.add_arc(graph.lg.start, "<eps>", "<eps>", -0.5, graph.lg.start)
+    return graph
+
+
+def positive_two_cycle_graph():
+    """L o G whose G holds a positive-weight epsilon two-cycle, which
+    relaxation alone would settle."""
+    lex = Prolex()
+    lex.add("x", ["a"])
+    g = Fst()
+    s0, s1, s2 = g.add_state(), g.add_state(), g.add_state()
+    g.add_arc(s0, "x", "x", 1.0, s1)
+    g.add_arc(s1, "<eps>", "<eps>", 0.5, s2)
+    g.add_arc(s2, "<eps>", "<eps>", 0.5, s1)
+    g.set_final(s1, 0.0)
+    return build_decode_graph(make_alphabet({"a"}), lex, g)
+
+
+@pytest.mark.parametrize("make_graph", [negative_self_loop_graph,
+                                        positive_two_cycle_graph])
+def test_decode_rejects_an_epsilon_cycle_of_any_weight(make_graph):
+    graph = make_graph()
+    grid = grid_over(graph.alphabet, np.zeros((3, len(graph.alphabet))))
+    want = ("epsilon cycle in decode graph", None, None)
+    for beam in (16, None):  # a later decode on the graph fails the same way
+        assert outcome(decode, grid, graph, beam=beam) == want

@@ -49,6 +49,18 @@ def test_counts_are_consistent(ref, hyp):
     assert c.total <= max(len(ref), len(hyp))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("ab"), max_size=8),
+       st.lists(st.sampled_from("ab"), max_size=8))
+def test_counts_match_the_backtrace_oracle(ref, hyp):
+    # over two symbols equally minimal alignments are common, so this pins
+    # the tie rule, not only the total
+    c = edit_distance(ref, hyp)
+    subs, dels, ins = support.edit_counts_reference(ref, hyp)
+    assert (c.substitutions, c.deletions, c.insertions, c.reference_length) == (
+        subs, dels, ins, len(ref))
+
+
 def test_corpus_rate_single_pair():
     assert corpus_rate([(["a", "b", "c"], ["a", "x", "c"])]) == pytest.approx(
         33.333333, abs=1e-4
