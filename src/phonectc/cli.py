@@ -383,10 +383,10 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
     codes = pipe.world.seen_codes if language == "all-seen" else [language]
     _check_codes(pipe.world, codes)
     bpe = None
-    if supervision == "subword":
-        bpe = pipe.train_bpe_model(seed, bpe_vocab_size)
-        _write(bpe.save, str(out) + ".bpe")
-    try:  # every utterance CTC-infeasible, or none to train on
+    try:  # a vocabulary too small, every utterance CTC-infeasible, or none
+        if supervision == "subword":
+            bpe = pipe.train_bpe_model(seed, bpe_vocab_size)
+            _write(bpe.save, str(out) + ".bpe")
         ckpt, history = pipe.train_languages(codes, seed, supervision, bpe)
     except ValueError as err:
         raise click.UsageError(f"{world_dir}: {err}") from err

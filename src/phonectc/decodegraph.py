@@ -11,7 +11,8 @@ and nothing here determinizes or minimizes it. Only L o G is built;
 2015), walking the states and arcs of the epsilon-filtered composition
 T o (L o G) without building it. T, L and the decoded grids share one
 alphabet: L keeps the pronunciations it spells. L o G's epsilon-input
-arcs must close no cycle; building a graph's arc tables checks that.
+arcs must close no cycle; making a ``DecodeGraph`` checks that, once, and
+rejects a graph whose arcs close one.
 """
 
 from __future__ import annotations
@@ -63,13 +64,15 @@ class DecodeGraph:
 
     A graph file holds L o G alone, so ``read_text`` takes the alphabet from
     the caller; the CLI passes the decoding checkpoint's. An L o G arc whose
-    unit the alphabet lacks is never taken.
+    unit the alphabet lacks is never taken. Making one builds the arc tables
+    ``decode`` walks, and raises ``FstError`` when L o G's epsilon-input arcs
+    close a cycle, of any weight.
     """
 
     def __init__(self, lg, alphabet):
         self.lg = lg
         self.alphabet = alphabet
-        self._arc_tables = None  # (eps, units), built on the first decode
+        self._arc_tables = _resolve_arcs(lg, alphabet)  # (eps, units)
 
     @property
     def num_states(self):
@@ -82,14 +85,18 @@ class DecodeGraph:
     @classmethod
     def read_text(cls, path, alphabet):
         """An L o G graph file from ``graph build``; a T o L o G file, whose
-        input symbols include the blank, is rejected."""
+        input symbols include the blank, or one whose epsilon-input arcs
+        close a cycle, is rejected, naming the file."""
         lg = Fst.read_text(path)
         if BLANK in lg.isyms:
             raise FstError(
                 f"{path}: input symbols include the blank {BLANK}, so this is a "
                 "T o L o G graph from an older `graph build`; rebuild it"
             )
-        return cls(lg, alphabet)
+        try:
+            return cls(lg, alphabet)
+        except FstError as err:
+            raise FstError(f"{path}: {err}") from err
 
 
 def _resolve_arcs(lg, alphabet):
@@ -121,7 +128,7 @@ def _resolve_arcs(lg, alphabet):
         TopologicalSorter({state: {dst for _, _, dst in eps}
                            for state, eps in enumerate(eps_table)}).prepare()
     except CycleError as err:
-        raise DecodeFailureError("epsilon cycle in decode graph") from err
+        raise FstError("epsilon cycle in decode graph") from err
     return eps_table, unit_table
 
 
@@ -165,17 +172,12 @@ def decode(grid, graph, beam=DEFAULT_BEAM, acoustic_scale=1.0):
     unit arcs, and L o G epsilon arcs alone only in the epsilon closure.
     Frame-t arc cost is ``acoustic_scale * -log P(unit | x_t)`` plus the
     graph weight; at most ``beam`` tokens survive each frame (``beam=None``
-    disables pruning), the cut keeping ties in arrival order. The graph's
-    epsilon-input arcs must close no cycle: the first decode builds its arc
-    tables and checks that once, and a graph whose arcs close one fails
-    every decode with "epsilon cycle in decode graph". Returns (word
+    disables pruning), the cut keeping ties in arrival order. Returns (word
     sequence, total weight). A grid over any alphabet but the graph's, or
     with none, is a ValueError.
     """
     if grid.alphabet != graph.alphabet:
         raise ValueError("graph decoding needs a grid over the graph's alphabet")
-    if graph._arc_tables is None:
-        graph._arc_tables = _resolve_arcs(graph.lg, graph.alphabet)
     eps, units = graph._arc_tables
     scores = (acoustic_scale * -grid.log_probs).tolist()
     tokens = _epsilon_closure(eps, {(0, graph.lg.start, 0): (0.0, ())})

@@ -38,6 +38,7 @@ from .model import (
 )
 from .ngram import train_ngram, ngram_to_fst
 from .textnorm import Prolex
+from .world import WorldError
 
 
 @dataclass(frozen=True)
@@ -315,11 +316,16 @@ def run_experiment(world, config, base=None):
     """Execute one experiment config; returns the report dictionary and
     writes results.csv / report.json / history.csv to the output directory.
     ``base`` is the checkpoint at ``config.pretrained_path`` if the caller
-    has loaded it. A language code the world lacks raises ``WorldError``,
-    and a checkpoint that cannot be loaded its error, before any work."""
+    has loaded it. A language code the world lacks, or no ``ft_language``
+    and no unseen language to finetune on, raises ``WorldError``, and a
+    checkpoint that cannot be loaded its error, before any work."""
     world.check_codes(
         list(config.languages) + ([config.ft_language] if config.ft_language else [])
     )
+    ft_code = config.ft_language or next(iter(world.unseen_codes), "")
+    if config.mode == "crosslingual_ft" and not ft_code:
+        raise WorldError("ft_language is empty and this world has no unseen "
+                         f"language; it has {', '.join(world.languages)}")
     if base is None and config.finetunes:
         base = load_checkpoint(config.pretrained_path)
     out_dir = Path(config.output_dir)
@@ -328,19 +334,24 @@ def run_experiment(world, config, base=None):
         world, encoder=config.encoder, lm_order=config.lm_order,
         beam=config.beam, acoustic_scale=config.acoustic_scale,
     )
-    rows = []  # (experiment, language, scale, split, metric, value)
-    histories = []
+    histories = []  # (language, scale, history), one per training
     report = {"mode": config.mode, "supervision": config.supervision,
               "seed": config.seed, "results": []}
 
-    def record(language, scale, split, metric, value, history=None):
-        rows.append((config.mode, language, scale, split, metric, value))
-        report["results"].append(
-            dict(language=language, scale=scale, split=split, metric=metric,
-                 value=value)
-        )
-        if history is not None:
-            histories.append((language, scale, history))
+    def record(language, scale, split, metric, value):
+        report["results"].append(dict(language=language, scale=scale,
+                                      split=split, metric=metric, value=value))
+
+    def score(ckpt, code, scale):
+        if config.supervision == "phoneme":
+            for split in ("dev", "test"):
+                record(code, scale, split, "per", pipe.eval_per(ckpt, code, split))
+        for split in ("dev", "test"):
+            wer, fails = pipe.eval_wer(ckpt, code, split, config.supervision,
+                                       bpe)
+            record(code, scale, split, "wer", wer)
+            if fails:
+                record(code, scale, split, "decode_failures", fails)
 
     sched = dict(config.schedule)
     bpe = None
@@ -353,18 +364,18 @@ def run_experiment(world, config, base=None):
     if config.mode == "monolingual":
         for code in codes:
             final, history = train_new([code])
-            _eval_and_record(pipe, final, code, "full", config, record, history,
-                             bpe)
+            histories.append((code, "full", history))
+            score(final, code, "full")
     elif config.mode == "multilingual":
         final, history = train_new(codes)
+        histories.append((codes[0], "full", history))
         for code in codes:
-            _eval_and_record(pipe, final, code, "full", config, record,
-                             history if code == codes[0] else None, bpe)
+            score(final, code, "full")
         save_checkpoint(
             final, out_dir / f"multilingual_{config.supervision}.ckpt"
         )
     else:  # crosslingual_ft
-        code = config.ft_language or world.unseen_codes[0]
+        code = ft_code
         scales = list(config.ft_data_scales) or [0]
         ft_alphabet = None
         if (config.supervision == "phoneme" and config.forgetting_eval
@@ -376,6 +387,7 @@ def run_experiment(world, config, base=None):
             ft_alphabet = make_alphabet(units)
         for scale in scales:
             n = None if scale in (0, "all") else int(scale)
+            label = "full" if n is None else str(n)
             if base is None:
                 final, history = train_new([code], limit=n)
             else:
@@ -384,9 +396,8 @@ def run_experiment(world, config, base=None):
                     supervision=config.supervision, bpe=bpe,
                     alphabet=ft_alphabet, **sched
                 )
-            label = "full" if n is None else str(n)
-            _eval_and_record(pipe, final, code, label, config, record, history,
-                             bpe)
+            histories.append((code, label, history))
+            score(final, code, label)
             if config.forgetting_eval and base is not None:
                 w, before, after = pipe.forgetting_ward(
                     base, final, supervision=config.supervision, bpe=bpe
@@ -397,45 +408,29 @@ def run_experiment(world, config, base=None):
                 if before > WARD_BASELINE_CAP:
                     record(code, label, "test", "ward_baseline_clamped", 1)
 
-    _write_outputs(out_dir, rows, histories, report)
+    _write_outputs(out_dir, histories, report)
     return report
 
 
-def _eval_and_record(pipe, ckpt, code, scale, config, record, history, bpe):
-    if config.supervision == "phoneme":
-        for split in ("dev", "test"):
-            record(code, scale, split, "per", pipe.eval_per(ckpt, code, split))
-    for split in ("dev", "test"):
-        wer_val, fails = pipe.eval_wer(
-            ckpt, code, split, config.supervision, bpe
-        )
-        record(code, scale, split, "wer", wer_val, history if split == "dev" else None)
-        if fails:
-            record(code, scale, split, "decode_failures", fails)
-
-
-def _write_outputs(out_dir, rows, histories, report):
-    with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["experiment", "language", "scale", "split", "metric", "value"]
-        )
+        writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_outputs(out_dir, histories, report):
+    _write_csv(out_dir / "results.csv",
+               ["experiment", "language", "scale", "split", "metric", "value"],
+               ([report["mode"], *row.values()] for row in report["results"]))
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out_dir / "history.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["language", "scale", "epoch", "train_loss", "val_loss",
-             "epochs_to_converge", "skipped_infeasible"]
-        )
-        for language, scale, history in histories:
-            if history is None:
-                continue
-            for row in history["epochs"]:
-                writer.writerow(
-                    [language, scale, row["epoch"], row["train_loss"],
-                     row["val_loss"], history["epochs_to_converge"],
-                     history["skipped_infeasible"]]
-                )
+    _write_csv(out_dir / "history.csv",
+               ["language", "scale", "epoch", "train_loss", "val_loss",
+                "epochs_to_converge", "skipped_infeasible"],
+               ([language, scale, row["epoch"], row["train_loss"],
+                 row["val_loss"], history["epochs_to_converge"],
+                 history["skipped_infeasible"]]
+                for language, scale, history in histories
+                for row in history["epochs"]))

@@ -87,19 +87,29 @@ class SyntheticWorldConfig:
             **{name: pair for name in _RANGES}, "split_fractions": fractions,
         })
         if self.universal_inventory_size > len(UNIVERSAL_PHONEMES):
-            raise WorldError("universal inventory larger than the symbol pool")
+            raise WorldError(
+                f"universal_inventory_size {self.universal_inventory_size!r} "
+                f"is larger than the {len(UNIVERSAL_PHONEMES)}-symbol pool"
+            )
         for name in _RANGES:
             lo, hi = getattr(self, name)
             if lo > hi or lo <= 0:
                 raise WorldError(f"empty range for {name}")
         if self.inventory_size_range[1] > self.universal_inventory_size:
-            raise WorldError("language inventory larger than universal set")
+            raise WorldError(
+                f"inventory_size_range {self.inventory_size_range!r} exceeds "
+                f"universal_inventory_size {self.universal_inventory_size!r}"
+            )
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise WorldError("split fractions must sum to 1")
-        for name in ("num_seen_languages", "low_resource_utterances"):
+            raise WorldError(
+                f"split_fractions {self.split_fractions!r} must sum to 1"
+            )
+        for name, low in (("num_seen_languages", 1), ("num_unseen", 0),
+                          ("low_resource_utterances", 1), ("feature_dim", 1),
+                          ("feature_noise_std", 0), ("seed", 0)):
             value = getattr(self, name)
-            if value < 1:
-                raise WorldError(f"{name} must be >= 1, got {value!r}")
+            if not value >= low:
+                raise WorldError(f"{name} must be >= {low}, got {value!r}")
         splits = _split(range(self.utterances_per_language), self.split_fractions)
         empty = [split for split in SPLITS if not splits[split]]
         if empty:
@@ -108,8 +118,6 @@ class SyntheticWorldConfig:
                 f"{'/'.join(empty)} split of utterances_per_language "
                 f"{self.utterances_per_language!r} empty"
             )
-        if self.seed < 0:
-            raise WorldError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass

@@ -692,3 +692,85 @@ def test_experiment_run_keeps_an_output_directory_it_did_not_make(
     assert result.exit_code == 2, result.output
     assert result.output.strip().splitlines()[-1].startswith("Error: ")
     assert (out / "kept.txt").read_text() == "x"
+
+
+def test_world_gen_rejects_counts_and_noise_below_their_bounds(runner, tmp_path):
+    cfg = tmp_path / "bad.yaml"
+    for text, culprit in [("feature_dim: 0\n", "feature_dim must be >= 1"),
+                          ("num_unseen: -1\n", "num_unseen must be >= 0"),
+                          ("feature_noise_std: -1.0\n",
+                           "feature_noise_std must be >= 0"),
+                          ("feature_noise_std: .nan\n",
+                           "feature_noise_std must be >= 0")]:
+        cfg.write_text(text)
+        result = runner.invoke(
+            main, ["world", "gen", "-o", str(tmp_path / "w"), "--config", str(cfg)]
+        )
+        assert result.exit_code == 2, (text, result.output)
+        assert isinstance(result.exception, SystemExit), result.exception
+        last = result.output.strip().splitlines()[-1]
+        assert last.startswith("Error: ") and culprit in last, text
+        assert not (tmp_path / "w").exists(), text
+
+
+def test_crosslingual_experiment_without_a_language_is_a_one_line_error(
+        runner, tmp_path):
+    world = tmp_path / "w"
+    cfg = tmp_path / "w.yaml"
+    cfg.write_text("num_seen_languages: 1\nnum_unseen: 0\n"
+                   "utterances_per_language: 10\nlow_resource_utterances: 10\n")
+    result = runner.invoke(main, ["world", "gen", "-o", str(world),
+                                  "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    config = tmp_path / "exp.yaml"
+    config.write_text("mode: crosslingual_ft\ninit_mode: scratch\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "run", "--world", str(world),
+                                  "--config", str(config), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    last = result.output.strip().splitlines()[-1]
+    assert last.startswith("Error: ") and "ft_language" in last
+    assert not out.exists()
+
+
+def test_decode_rejects_a_graph_file_with_an_epsilon_cycle(runner, world_dir,
+                                                          tmp_path):
+    from phonectc.inventory import make_alphabet, read_inventory
+    from phonectc.model import EncoderConfig, init_checkpoint, save_checkpoint
+
+    lang = Path(world_dir) / "lang-s1"
+    arpa, graph = tmp_path / "lm.arpa", tmp_path / "lg.fst.txt"
+    for args in (["lm", "train", "--input", str(lang / "text.train.txt"),
+                  "--lexicon", str(lang / "lexicon.tsv"), "-o", str(arpa)],
+                 ["graph", "build", "--inventory", str(lang / "inventory.txt"),
+                  "--lexicon", str(lang / "lexicon.tsv"), "--arpa", str(arpa),
+                  "-o", str(graph)]):
+        assert runner.invoke(main, args).exit_code == 0
+    with open(graph, "a") as fh:
+        fh.write("0\t0\t<eps>\t<eps>\t0.5\n")  # an epsilon self-loop at start
+    ckpt = tmp_path / "m.ckpt"
+    alphabet = make_alphabet(read_inventory(lang / "inventory.txt", "s1").units)
+    save_checkpoint(init_checkpoint(EncoderConfig(input_dim=10), alphabet), ckpt)
+    hyp = tmp_path / "hyp.txt"
+    result = runner.invoke(main, [
+        "decode", "--checkpoint", str(ckpt), "--features",
+        str(lang / "feats.test.bin"), "--graph", str(graph), "-o", str(hyp)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.strip().splitlines() == [
+        f"Error: {graph}: epsilon cycle in decode graph"]
+    assert not hyp.exists()
+
+
+def test_train_with_a_vocabulary_too_small_is_a_one_line_error(
+        runner, world_dir, tmp_path):
+    out = tmp_path / "m.ckpt"
+    result = runner.invoke(main, [
+        "train", "--world", world_dir, "--language", "s1", "--supervision",
+        "subword", "--bpe-vocab-size", "3", "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    last = result.output.strip().splitlines()[-1]
+    assert last.startswith(f"Error: {world_dir}: vocab_size 3 below")
+    assert not out.exists()

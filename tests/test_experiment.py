@@ -23,7 +23,7 @@ from phonectc.model import (
     save_checkpoint,
     subsampled_length,
 )
-from phonectc.world import SyntheticWorldConfig, generate_world
+from phonectc.world import SyntheticWorldConfig, WorldError, generate_world
 
 TINY_ENC = dict(hidden_dim=8, num_blocks=1)
 TINY_SCHED = dict(max_epochs=4, early_stop_patience=4)
@@ -285,3 +285,44 @@ def test_subword_corpus_labels_roundtrip(world):
     for (feats, labels), sent in zip(corpus, lang.sentences["dev"]):
         pieces = bpe.vocab.decode(labels)
         assert "".join(pieces) == sent.replace(" ", "")
+
+
+@pytest.mark.parametrize("supervision", ["phoneme", "subword"])
+@pytest.mark.parametrize("mode", ["monolingual", "multilingual", "crosslingual_ft"])
+def test_outputs_hold_the_returned_report(world, runs, mode, supervision):
+    report, out = runs(mode, supervision)
+    columns = ["language", "scale", "split", "metric", "value"]
+    with open(out / "results.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["experiment", *columns]
+    assert rows == [[mode, *(str(r[c]) for c in columns)]
+                    for r in report["results"]]
+    assert json.loads((out / "report.json").read_text()) == report
+    # one block of epoch rows per training call, in call order
+    with open(out / "history.csv", newline="") as fh:
+        history = list(csv.DictReader(fh))
+    blocks = []  # (language, scale), one per run of epochs from 1
+    for row in history:
+        if row["epoch"] == "1":
+            blocks.append((row["language"], row["scale"]))
+            epoch = 0
+        epoch += 1
+        assert (row["language"], row["scale"], row["epoch"]) == (
+            *blocks[-1], str(epoch))
+    assert blocks == {"monolingual": [(c, "full") for c in world.seen_codes],
+                      "multilingual": [(world.seen_codes[0], "full")],
+                      "crosslingual_ft": [("u1", "4")]}[mode]
+
+
+def test_crosslingual_run_needs_a_language_to_finetune_on(tmp_path):
+    world = generate_world(SyntheticWorldConfig(
+        num_seen_languages=1, num_unseen=0, utterances_per_language=10,
+        low_resource_utterances=10, lexicon_size_range=(6, 8), seed=1,
+    ))
+    out = tmp_path / "out"
+    config = ExperimentConfig(mode="crosslingual_ft", init_mode="scratch",
+                              seed=0, encoder=TINY_ENC, schedule=TINY_SCHED,
+                              output_dir=str(out))
+    with pytest.raises(WorldError, match=r"^ft_language is empty.*has s1$"):
+        run_experiment(world, config)
+    assert not out.exists()

@@ -294,3 +294,15 @@ def test_features_equal_the_per_phone_reference(monkeypatch, name):
             for x, y in zip(a.features[split], b.features[split]):
                 assert x.shape == y.shape
                 assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("universal_inventory_size", 51), ("inventory_size_range", (10, 41)),
+    ("split_fractions", (0.5, 0.2, 0.2)), ("feature_dim", 0),
+    ("num_unseen", -1), ("feature_noise_std", -1.0),
+    ("feature_noise_std", float("nan")),
+])
+def test_config_rejections_name_the_field_and_value(name, value):
+    with pytest.raises(WorldError, match=f"^{name}") as e:
+        SyntheticWorldConfig(**{name: value})
+    assert repr(value) in str(e.value)
