@@ -26,6 +26,10 @@ class BpeError(ValueError):
     pass
 
 
+class VocabSizeError(BpeError):
+    """A vocabulary size below the base charset plus the specials."""
+
+
 @dataclass(frozen=True)
 class LanguageStats:
     """Per-language sentence counts with the sampling exponent beta."""
@@ -175,7 +179,7 @@ def train_bpe(sentences, vocab_size, extra_chars=()):
         raise BpeError("empty training corpus")
     base = charset | {DEFAULT_MARKER}
     if vocab_size < len(base) + 2:
-        raise BpeError(
+        raise VocabSizeError(
             f"vocab_size {vocab_size} below base charset + specials "
             f"({len(base) + 2})"
         )

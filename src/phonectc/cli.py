@@ -419,6 +419,12 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     pipe = Pipeline(_load(load_world, world_dir))
     _check_codes(pipe.world, [language])
     base = _load(load_checkpoint, pretrained_path)
+    if mode == "copy_shared" and base.alphabet.kind != "phoneme":
+        raise click.UsageError(
+            f"--pretrained {pretrained_path}: a {base.alphabet.kind} "
+            "checkpoint; finetune trains onto the phoneme alphabet, where "
+            "--mode copy_shared needs a phoneme checkpoint (subword "
+            "finetuning runs through `experiment run`)")
     n = utterances or None
     try:  # every utterance CTC-infeasible, or none to train on
         ckpt, history = pipe.finetune(base, language, seed, n_utts=n, mode=mode)
@@ -532,6 +538,7 @@ def experiment():
 @click.option("-o", "--out", default=None, help="Override output directory.")
 def experiment_run(world_dir, config_path, out):
     """Run one experiment config against a world."""
+    from .bpe import VocabSizeError
     from .experiment import ExperimentConfig, run_experiment
     from .model import load_checkpoint
     from .world import load_world
@@ -551,7 +558,11 @@ def experiment_run(world_dir, config_path, out):
     except ValueError as err:
         if made:
             shutil.rmtree(config.output_dir)
-        raise click.UsageError(f"{world_dir}: {err}") from err
+        # the world sets a vocabulary's floor, the config its size
+        culprit = world_dir
+        if isinstance(err, VocabSizeError):
+            culprit = f"{config_path}: bpe_vocab_size"
+        raise click.UsageError(f"{culprit}: {err}") from err
     click.echo(json.dumps(report, ensure_ascii=False, sort_keys=True))
 
 

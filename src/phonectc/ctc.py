@@ -5,16 +5,18 @@ the exact negative log marginal over every blank-augmented alignment that
 collapses to the label sequence, computed on the standard 2L+1-state
 interleaved lattice.
 
-``ctc_grad`` runs alpha and beta as one recursion and leaves the log
-marginal it reads off alpha on the grid, keyed by the labels; ``ctc_loss``
-with the same labels returns it instead of running alpha again, so a
-training step costs one lattice pass (Graves et al., ICML 2006). A grid's
-rows must therefore not change after it is made: ``log_probs`` is a
+A lattice pass runs alpha and beta as one recursion, for one lattice or
+for a training group's lattices side by side, and leaves on each grid its
+labels, log marginal and state occupancy. ``ctc_grad`` and ``ctc_loss`` with
+the same labels read them instead of running the lattice again, so a
+training utterance costs one share of one pass (Graves et al., ICML 2006). A
+grid's rows must therefore not change after it is made: ``log_probs`` is a
 read-only view.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,7 @@ class PosteriorGrid:
 
     log_probs: np.ndarray
     alphabet: object = None
-    _marginal = None  # (labels, log marginal) of the last ctc_grad
+    _lattice = None  # (labels, log marginal, occupancy) of the last pass
 
     def __post_init__(self):
         lp = np.asarray(self.log_probs, dtype=np.float64)
@@ -59,38 +61,46 @@ def _read_only(a):
     return view
 
 
-def _softmax_grid(logits, alphabet=None):
-    """The grid of the row-wise log-softmax of ``logits``, made without
-    PosteriorGrid's re-check of the row sums wherever that check cannot fail.
+def _softmax_grids(logits, frames, alphabet=None):
+    """The grids of the row-wise log-softmax of ``logits``, one per run of
+    consecutive rows of lengths ``frames``, made without PosteriorGrid's
+    re-check of the row sums wherever that check cannot fail.
 
     For finite logits of magnitude at most B over n labels, each of the
     2(n-1) log-add-exp steps and n subtractions behind a row sum is off by a
     few units in the last place of a number below B + n, so the row sums to
     within 10 n (B + n) 2**-53 of 0: below 1e-6 while n (B + n) <= 2**29.
-    Any other logits, non-finite ones included, get the checked grid, which
-    raises exactly where it always did.
+    Any other logits, non-finite ones included, get checked grids, which
+    raise exactly where they always did.
     """
     log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
     n = logits.shape[1]
-    if not n * (np.abs(logits).max(initial=0.0) + n) <= 2**29:
-        return PosteriorGrid(log_probs=log_probs, alphabet=alphabet)
-    grid = object.__new__(PosteriorGrid)
-    object.__setattr__(grid, "log_probs", _read_only(log_probs))
-    object.__setattr__(grid, "alphabet", alphabet)
-    return grid
+    bound = max(logits.max(initial=0.0), -logits.min(initial=0.0))
+    trusted = n * (bound + n) <= 2**29
+    grids, lo = [], 0
+    for t in frames:
+        rows, lo = log_probs[lo : lo + t], lo + t
+        if not trusted:
+            grids.append(PosteriorGrid(log_probs=rows, alphabet=alphabet))
+            continue
+        grid = object.__new__(PosteriorGrid)
+        object.__setattr__(grid, "log_probs", _read_only(rows))
+        object.__setattr__(grid, "alphabet", alphabet)
+        grids.append(grid)
+    return grids
 
 
 def min_frames(labels):
     """Fewest frames that align ``labels``: one per label, plus a blank
     between each pair of equal neighbours."""
-    return len(labels) + sum(1 for a, b in zip(labels, labels[1:]) if a == b)
+    return len(labels) + sum(map(operator.eq, labels, labels[1:]))
 
 
 def _check_labels(grid, labels):
     labels = list(labels)
-    if any(k == BLANK_ID for k in labels):
+    if BLANK_ID in labels:
         raise ValueError("labels must not contain the blank index")
-    if any(not 0 < k < grid.num_labels for k in labels):
+    if labels and not (0 < min(labels) and max(labels) < grid.num_labels):
         raise IndexError("label index outside the alphabet")
     need = min_frames(labels)
     if grid.num_frames < need:
@@ -102,45 +112,43 @@ def _check_labels(grid, labels):
 
 
 def _interleave(labels):
-    states = [BLANK_ID]
-    for k in labels:
-        states.extend((k, BLANK_ID))
-    return np.array(states, dtype=np.int64)
+    states = np.full(2 * len(labels) + 1, BLANK_ID, dtype=np.int64)
+    states[1::2] = labels
+    return states
 
 
 def _skips(states):
     """Additive mask of the skip from state s-2 into s: 0 where s is a label
     that differs from the label two states back, -inf elsewhere."""
-    ok = np.zeros(len(states), dtype=bool)
-    ok[2:] = (states[2:] != BLANK_ID) & (states[2:] != states[:-2])
-    return np.where(ok, 0.0, NEG_INF)
+    mask = np.full(len(states), NEG_INF)
+    mask[3::2][states[3::2] != states[1:-2:2]] = 0.0
+    return mask
 
 
-def _forward(emit, skip):
-    """Alpha of the lattices ``emit`` (T, ..., S), the log emission of each
-    state at each frame, with skip masks ``skip`` (..., S); the axes between
-    the first and the last index independent lattices."""
-    T, *lead, S = emit.shape
-    # The lattices of a frame lie side by side in one row, each behind two
-    # pad states that emit -inf and so stay -inf: the stay, diag and skip
-    # shifts of a frame are views of the row before it.
-    padded = np.full((T, *lead, S + 2), NEG_INF)
-    padded[0, ..., 2:4] = emit[0, ..., :2]
-    gain = np.full_like(padded, NEG_INF)
-    gain[..., 2:] = emit
-    mask = np.full(padded.shape[1:], NEG_INF)
-    mask[..., 2:] = skip
-    rows = padded.reshape(T, -1)
+def _forward(lattices):
+    """Alpha of each lattice (log emission of each state at each frame, of
+    shape (T, S), and skip mask (S,)), all from one recursion."""
+    # The lattices lie side by side in one row, each behind two pad states
+    # that emit -inf and so stay -inf, and emit -inf past their last frame:
+    # the stay, diag and skip shifts of a frame are views of the row before.
+    # A frame's row holds its emissions until alpha is added onto them.
+    starts = np.cumsum([2] + [e.shape[1] + 2 for e, _ in lattices])
+    rows = np.full((max(len(e) for e, _ in lattices), starts[-1] - 2), NEG_INF)
+    mask = np.full(rows.shape[1], NEG_INF)
+    for (emit, skip), c in zip(lattices, starts):
+        rows[1 : len(emit), c : c + len(skip)] = emit[1:]
+        rows[0, c : c + len(skip)][:2] = emit[0, :2]
+        mask[c : c + len(skip)] = skip
     alpha, diag, jump = rows[:, 2:], rows[:, 1:-1], rows[:, :-2]
-    gain, mask = gain.reshape(T, -1)[:, 2:], mask.reshape(-1)[2:]
-    skipped = np.empty_like(mask)
-    for t in range(1, T):
-        row = alpha[t]
-        np.logaddexp(alpha[t - 1], diag[t - 1], out=row)
+    mask = mask[2:]
+    into, skipped = np.empty_like(mask), np.empty_like(mask)
+    for t in range(1, len(rows)):
+        np.logaddexp(alpha[t - 1], diag[t - 1], out=into)
         np.add(jump[t - 1], mask, out=skipped)
-        np.logaddexp(row, skipped, out=row)
-        row += gain[t]
-    return padded[..., 2:]
+        np.logaddexp(into, skipped, out=into)
+        alpha[t] += into
+    return [rows[: len(e), c : c + len(skip)]
+            for (e, skip), c in zip(lattices, starts)]
 
 
 def _log_marginal(alpha):
@@ -151,14 +159,14 @@ def _log_marginal(alpha):
 
 def ctc_loss(grid, labels):
     """Negative log-likelihood of the blank-free label sequence. When the
-    last ``ctc_grad`` on this grid had the same labels, its marginal is
+    last lattice pass on this grid had the same labels, its marginal is
     returned and no lattice runs."""
     labels = tuple(labels)
-    if grid._marginal is not None and grid._marginal[0] == labels:
-        return float(-grid._marginal[1])
+    if grid._lattice is not None and grid._lattice[0] == labels:
+        return float(-grid._lattice[1])
     labels = _check_labels(grid, labels)
     states = _interleave(labels)
-    alpha = _forward(grid.log_probs[:, states], _skips(states))
+    (alpha,) = _forward([(grid.log_probs[:, states], _skips(states))])
     return float(-_log_marginal(alpha))
 
 
@@ -166,31 +174,45 @@ def ctc_grad(grid, labels):
     """Gradient of the loss w.r.t. the logits behind ``grid``.
 
     Equals softmax posterior minus normalized lattice occupancy; each row
-    sums to zero. Leaves the log marginal on the grid for ``ctc_loss``.
+    sums to zero. Reads the occupancy of the last lattice pass on this grid
+    when it had the same labels, and runs a pass of this one lattice
+    otherwise, which leaves the log marginal on the grid for ``ctc_loss``.
     """
-    labels = _check_labels(grid, labels)
-    lp = grid.log_probs
-    states = _interleave(labels)
-    emit = lp[:, states]
-    T, S = emit.shape
-    # beta is alpha of the time- and state-reversed lattice, reversed back;
-    # the two run as one recursion. The reversed lattice skips into its
-    # state i where the forward one skips into S + 1 - i: its mask is the
-    # forward mask's tail reversed behind two -inf, not the mask reversed.
-    pair = np.empty((T, 2, S))
-    pair[:, 0], pair[:, 1] = emit, emit[::-1, ::-1]
-    skip = _skips(states)
-    masks = np.full((2, S), NEG_INF)
-    masks[0], masks[1, 2:] = skip, skip[:1:-1]
-    both = _forward(pair, masks)
-    alpha, beta = both[:, 0], both[::-1, 1, ::-1]
-    marginal = _log_marginal(alpha)
-    object.__setattr__(grid, "_marginal", (tuple(labels), marginal))
-    # alpha and beta both include the frame-t emission; divide it out once
-    gamma = np.exp(alpha + beta - emit - marginal)
-    occupancy = np.zeros(lp.shape)
-    np.add.at(occupancy, (slice(None), states), gamma)
-    return np.exp(lp) - occupancy
+    labels = tuple(labels)
+    if grid._lattice is None or grid._lattice[0] != labels:
+        _lattice_pass([grid], [labels])
+    return np.exp(grid.log_probs) - grid._lattice[2]
+
+
+def _lattice_pass(grids, label_seqs):
+    """Alpha and beta of the lattice of every (grid, labels) pair in one
+    recursion; leaves on each grid its labels, log marginal and occupancy.
+
+    Beta is alpha of the time- and state-reversed lattice, reversed back.
+    The reversed lattice skips into its state i where the forward one skips
+    into S + 1 - i: its mask is the forward mask's tail reversed behind two
+    -inf, not the mask reversed.
+    """
+    labels = [_check_labels(g, ls) for g, ls in zip(grids, label_seqs)]
+    states = [_interleave(ls) for ls in labels]
+    lattices = []
+    for grid, st in zip(grids, states):
+        emit, skip = grid.log_probs[:, st], _skips(st)
+        back = np.full(len(st), NEG_INF)
+        back[2:] = skip[:1:-1]
+        lattices += [(emit, skip), (emit[::-1, ::-1], back)]
+    runs = _forward(lattices)
+    for u, (grid, ls, st) in enumerate(zip(grids, labels, states)):
+        alpha, beta = runs[2 * u], runs[2 * u + 1][::-1, ::-1]
+        marginal = _log_marginal(alpha)
+        # alpha and beta both include the frame-t emission; divide it out once
+        gamma = alpha + beta
+        gamma -= lattices[2 * u][0]
+        gamma -= marginal
+        np.exp(gamma, out=gamma)
+        occupancy = np.zeros(grid.log_probs.shape)
+        np.add.at(occupancy, (slice(None), st), gamma)
+        object.__setattr__(grid, "_lattice", (tuple(ls), marginal, occupancy))
 
 
 DEFAULT_BEAM_WIDTH = 16

@@ -17,13 +17,16 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import check_field_types
-from .ctc import (InfeasibleAlignmentError, PosteriorGrid, _softmax_grid,
-                  ctc_grad, ctc_loss, min_frames)
+from .ctc import (InfeasibleAlignmentError, PosteriorGrid, _lattice_pass,
+                  _softmax_grids, ctc_grad, ctc_loss, min_frames)
 from .featio import read_arrays, write_arrays
 from .inventory import Alphabet
 
 FORMAT = 2  # checkpoint layout number in the header; the PCTC files were 1
 LN_EPS = 1e-5
+# Most rows x 4 hidden_dim elements a training group's block activations
+# hold; an utterance over it is a group alone. Groups bound peak memory.
+GROUP_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -134,17 +137,20 @@ def subsampled_length(t, stride):
     return -(-t // stride)  # ceil
 
 
-def _conv_forward(x, w, b, stride):
-    t_in, _ = x.shape
+def _conv_forward(xs, w, b, stride):
+    """The convolution of every feature matrix in ``xs``, stacked: each is
+    zero-padded on its own, so no window crosses into the next."""
     d, input_dim, k = w.shape
-    t_out = subsampled_length(t_in, stride)
-    pad_len = (t_out - 1) * stride + k
-    xp = np.zeros((pad_len, input_dim))
-    xp[:t_in] = x
-    # windows: (t_out, K, input_dim)
-    idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
-    win = xp[idx]  # (t_out, K, input_dim)
-    out = np.einsum("tki,dik->td", win, w) + b
+    frames = [subsampled_length(len(x), stride) for x in xs]
+    xp = np.zeros((sum((t - 1) * stride + k for t in frames), input_dim))
+    starts, lo = [], 0
+    for x, t in zip(xs, frames):
+        xp[lo : lo + len(x)] = x
+        starts.append(lo + stride * np.arange(t))
+        lo += (t - 1) * stride + k
+    # windows: (rows, K, input_dim)
+    idx = np.concatenate(starts)[:, None] + np.arange(k)[None, :]
+    out = np.einsum("tki,dik->td", xp[idx], w) + b
     return out, (xp, idx)
 
 
@@ -178,26 +184,27 @@ def _layernorm_backward(dout, g, cache):
     return dx, dg, db
 
 
-def _encode(ckpt, x, dropout_rng=None):
-    """Encoder forward pass; returns (hidden states, cache for backprop)."""
+def _encode(ckpt, xs, masks=None):
+    """Encoder forward pass over the stacked rows of the feature matrices
+    ``xs``; returns (hidden states, cache for backprop). ``masks[i]``, when
+    given, scales block i's activations (dropout)."""
     cfg = ckpt.config
     p = ckpt.params
-    h, conv_cache = _conv_forward(x, p["conv.w"], p["conv.b"], cfg.subsample_stride)
-    caches = [("conv", conv_cache, None)]
+    h, conv_cache = _conv_forward(xs, p["conv.w"], p["conv.b"],
+                                  cfg.subsample_stride)
+    caches = [conv_cache]
     for i in range(cfg.num_blocks):
-        a = h @ p[f"block{i}.w1"].T + p[f"block{i}.b1"]
-        r = np.maximum(a, 0.0)
-        if dropout_rng is not None and cfg.dropout > 0:
-            mask = (dropout_rng.random(r.shape) >= cfg.dropout) / (1 - cfg.dropout)
-            r = r * mask
-        else:
-            mask = None
-        mid = r @ p[f"block{i}.w2"].T + p[f"block{i}.b2"]
-        res = h + mid
+        r = h @ p[f"block{i}.w1"].T
+        r += p[f"block{i}.b1"]
+        np.maximum(r, 0.0, out=r)
+        mask = None if masks is None else masks[i]
+        if mask is not None:
+            r *= mask
+        res = h + (r @ p[f"block{i}.w2"].T + p[f"block{i}.b2"])
         out, ln_cache = _layernorm_forward(
             res, p[f"block{i}.ln.g"], p[f"block{i}.ln.b"]
         )
-        caches.append((f"block{i}", (h, a, r, mask), ln_cache))
+        caches.append((f"block{i}", (h, r, mask), ln_cache))
         h = out
     return h, caches
 
@@ -211,7 +218,7 @@ def forward(ckpt, features):
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite feature values")
-    h, _ = _encode(ckpt, x)
+    h, _ = _encode(ckpt, [x])
     logits = h @ ckpt.params["out.w"].T
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits")
@@ -219,43 +226,84 @@ def forward(ckpt, features):
     return PosteriorGrid(log_probs=log_probs, alphabet=ckpt.alphabet)
 
 
-def _loss_and_grads(ckpt, x, labels, dropout_rng=None):
-    """Frame-normalized CTC loss and parameter gradients for one utterance."""
-    p = ckpt.params
-    h, caches = _encode(ckpt, x, dropout_rng=dropout_rng)
-    grid = _softmax_grid(h @ p["out.w"].T, ckpt.alphabet)
-    # the gradient first: ctc_loss then reads the marginal it left on the grid
-    dlogits = ctc_grad(grid, labels) / grid.num_frames
-    loss = ctc_loss(grid, labels) / grid.num_frames
-    return loss, _backward(ckpt, h, caches, dlogits)
+def _groups(batch, frames, width):
+    """Split the utterance indices ``batch`` into runs of consecutive ones
+    whose ``frames`` x ``width`` sum to at most GROUP_ELEMENTS; an utterance
+    over it is a group alone."""
+    groups, rows = [], math.inf
+    for i in batch:
+        if (rows + frames[i]) * width > GROUP_ELEMENTS:
+            groups.append([])
+            rows = 0
+        groups[-1].append(i)
+        rows += frames[i]
+    return groups
 
 
-def _backward(ckpt, h, caches, dlogits):
-    """Parameter gradients from the logits' gradient, through ``_encode``'s
-    caches."""
-    p = ckpt.params
-    grads = {"out.w": dlogits.T @ h}
-    dh = dlogits @ p["out.w"]
-    for name, block_cache, ln_cache in reversed(caches[1:]):
-        h_in, a, r, mask = block_cache
-        dres, dg, db = _layernorm_backward(dh, p[f"{name}.ln.g"], ln_cache)
-        grads[f"{name}.ln.g"] = dg
-        grads[f"{name}.ln.b"] = db
-        dmid = dres
-        grads[f"{name}.w2"] = dmid.T @ r
-        grads[f"{name}.b2"] = dmid.sum(axis=0)
-        dr = dmid @ p[f"{name}.w2"]
-        if mask is not None:
-            dr = dr * mask
-        da = dr * (a > 0)
-        grads[f"{name}.w1"] = da.T @ h_in
-        grads[f"{name}.b1"] = da.sum(axis=0)
-        dh = dres + da @ p[f"{name}.w1"]
-    dconv = dh
-    dw, db = _conv_backward(dconv, caches[0][1])
-    grads["conv.w"] = dw
-    grads["conv.b"] = db
+def _group_step(ckpt, group, dropout_rng=None):
+    """Frame-normalized CTC loss of each (features, labels) utterance of
+    ``group``, and the gradients of their sum: one encoder pass and one
+    backprop over the stacked rows, one lattice pass over every lattice."""
+    cfg = ckpt.config
+    xs = [x for x, _ in group]
+    frames = [subsampled_length(len(x), cfg.subsample_stride) for x in xs]
+    masks = None
+    if dropout_rng is not None and cfg.dropout > 0:
+        # drawn utterance by utterance and block by block in each: every
+        # frame gets the values a step of its utterance alone would draw
+        draws = [dropout_rng.random((cfg.num_blocks, t, 4 * cfg.hidden_dim))
+                 for t in frames]
+        keep = np.concatenate(draws, axis=1) >= cfg.dropout
+        masks = keep / (1 - cfg.dropout)
+    h, caches = _encode(ckpt, xs, masks)
+    losses, grads, dh = _ctc_step(ckpt, h, frames, [ls for _, ls in group])
+    return losses, _backward(ckpt, caches, dh, grads)
+
+
+def _ctc_step(ckpt, h, frames, label_seqs):
+    """Frame-normalized CTC loss of each utterance of the stacked hidden
+    states ``h``, and the gradients of their sum w.r.t. the output matrix
+    (in a new gradient dict) and w.r.t. ``h``. The grids, their lattice
+    results and the logits' gradient go when it returns."""
+    grids = _softmax_grids(h @ ckpt.params["out.w"].T, frames, ckpt.alphabet)
+    _lattice_pass(grids, label_seqs)
+    # ctc_grad and ctc_loss read what the pass left on each grid
+    dlogits = np.empty((len(h), len(ckpt.alphabet)))
+    losses, lo = [], 0
+    for grid, labels in zip(grids, label_seqs):
+        t = grid.num_frames
+        np.divide(ctc_grad(grid, labels), t, out=dlogits[lo : lo + t])
+        losses.append(ctc_loss(grid, labels) / t)
+        lo += t
+    return losses, {"out.w": dlogits.T @ h}, dlogits @ ckpt.params["out.w"]
+
+
+def _backward(ckpt, caches, dh, grads):
+    """Adds to ``grads`` the parameter gradients from ``dh``, the gradient
+    w.r.t. the encoder output, through ``_encode``'s caches. It pops them,
+    so each block's activations go once its gradients are taken."""
+    while len(caches) > 1:
+        dh = _block_backward(ckpt.params, dh, *caches.pop(), grads)
+    grads["conv.w"], grads["conv.b"] = _conv_backward(dh, caches.pop())
     return grads
+
+
+def _block_backward(p, dh, name, block_cache, ln_cache, grads):
+    """Adds one residual block's parameter gradients to ``grads``; returns
+    the gradient w.r.t. the block's input."""
+    h_in, r, mask = block_cache
+    dres, grads[f"{name}.ln.g"], grads[f"{name}.ln.b"] = _layernorm_backward(
+        dh, p[f"{name}.ln.g"], ln_cache)
+    grads[f"{name}.w2"] = dres.T @ r
+    grads[f"{name}.b2"] = dres.sum(axis=0)
+    da = dres @ p[f"{name}.w2"]
+    if mask is not None:
+        da *= mask
+    # r > 0 exactly where the pre-activation is and the mask keeps it
+    da *= r > 0
+    grads[f"{name}.w1"] = da.T @ h_in
+    grads[f"{name}.b1"] = da.sum(axis=0)
+    return dres + da @ p[f"{name}.w1"]
 
 
 def evaluate_loss(ckpt, corpus):
@@ -278,6 +326,11 @@ def evaluate_loss(ckpt, corpus):
 def train(ckpt, corpus, schedule, seed, val_corpus=None):
     """Adam + Noam-schedule training with early stop and top-k averaging.
 
+    A minibatch runs as groups of consecutive utterances that GROUP_ELEMENTS
+    bounds: one encoder pass, lattice pass and backprop per group over its
+    stacked rows, so parameters differ in the last bits from a step per
+    utterance, whose products BLAS rounds otherwise.
+
     Returns (final checkpoint, history). History holds per-epoch train and
     validation losses, the number of utterances skipped as CTC-infeasible,
     and the epoch count to convergence (best validation loss).
@@ -291,7 +344,7 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     rng = np.random.default_rng(seed)
     dropout_rng = np.random.default_rng(rng.integers(2**63))
 
-    usable = []
+    usable, frames = [], []
     skipped = 0
     for x, labels in corpus:
         x = np.asarray(x, dtype=np.float64)
@@ -300,6 +353,7 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
             skipped += 1
             continue
         usable.append((x, list(labels)))
+        frames.append(t_out)
     if not usable:
         raise ValueError("every utterance is CTC-infeasible")
 
@@ -323,22 +377,27 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
         nutts = 0
         for lo in range(0, len(order), schedule.batch_size):
             batch = order[lo : lo + schedule.batch_size]
-            acc = {k: np.zeros_like(p) for k, p in ckpt.params.items()}
-            for idx in batch:
-                x, labels = usable[idx]
-                loss, grads = _loss_and_grads(ckpt, x, labels,
-                                              dropout_rng=dropout_rng)
-                epoch_loss += loss
-                nutts += 1
+            acc = None
+            for group in _groups(batch, frames, 4 * cfg.hidden_dim):
+                losses, grads = _group_step(ckpt, [usable[i] for i in group],
+                                            dropout_rng=dropout_rng)
+                epoch_loss = sum(losses, epoch_loss)
+                nutts += len(losses)
+                if acc is None:
+                    acc = grads
+                    continue
                 for k in acc:
                     acc[k] += grads[k]
             step += 1
             lr = schedule.learning_rate(step)
             scale = 1.0 / len(batch)
             for k, p in ckpt.params.items():
-                g = acc[k] * scale
-                m[k] = b1 * m[k] + (1 - b1) * g
-                v[k] = b2 * v[k] + (1 - b2) * g * g
+                g = acc[k]
+                g *= scale
+                m[k] *= b1
+                m[k] += (1 - b1) * g
+                v[k] *= b2
+                v[k] += (1 - b2) * g * g
                 mhat = m[k] / (1 - b1**step)
                 vhat = v[k] / (1 - b2**step)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)

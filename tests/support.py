@@ -8,10 +8,10 @@ are kept here as the exact references for the library's vectorised ones,
 the composed T o (L o G) graph (the library's L, composed as built) with
 its decoder as the exact reference for the library's decoder, which
 applies T on the fly, the per-phone feature synthesis loop as the exact
-reference for the world generator's, and the two-pass training step
-(loss, then gradient) as the exact reference for the single-pass one. The
-n-gram conditional distribution and the lexicon lookup are oracles only the
-tests use.
+reference for the world generator's, and the per-utterance two-pass
+training step (encoder, loss, then gradient and backprop) as the reference
+for the group step. The n-gram conditional distribution and the lexicon
+lookup are oracles only the tests use.
 """
 
 from functools import lru_cache
@@ -27,7 +27,8 @@ from phonectc.decodegraph import (
     build_lexicon_fst,
 )
 from phonectc.fst import Fst, SymbolTable, compose
-from phonectc.model import _backward, _encode
+from phonectc.model import (_layernorm_backward, _layernorm_forward,
+                            subsampled_length)
 from phonectc.ngram import BOS, UNK, NGramError, _score
 
 
@@ -157,16 +158,67 @@ def ctc_grad_reference(grid, labels):
     return np.exp(lp) - occupancy
 
 
+def _encode_reference(ckpt, x, dropout_rng=None):
+    """The encoder forward pass over one utterance, drawing each block's
+    dropout mask as it reaches the block."""
+    cfg = ckpt.config
+    p = ckpt.params
+    _, input_dim, k = p["conv.w"].shape
+    t_out = subsampled_length(len(x), cfg.subsample_stride)
+    xp = np.zeros(((t_out - 1) * cfg.subsample_stride + k, input_dim))
+    xp[: len(x)] = x
+    idx = (np.arange(t_out)[:, None] * cfg.subsample_stride
+           + np.arange(k)[None, :])
+    h = np.einsum("tki,dik->td", xp[idx], p["conv.w"]) + p["conv.b"]
+    caches = [(xp, idx)]
+    for i in range(cfg.num_blocks):
+        a = h @ p[f"block{i}.w1"].T + p[f"block{i}.b1"]
+        r = np.maximum(a, 0.0)
+        mask = None
+        if dropout_rng is not None and cfg.dropout > 0:
+            mask = (dropout_rng.random(r.shape) >= cfg.dropout) / (1 - cfg.dropout)
+            r = r * mask
+        res = h + (r @ p[f"block{i}.w2"].T + p[f"block{i}.b2"])
+        out, ln_cache = _layernorm_forward(
+            res, p[f"block{i}.ln.g"], p[f"block{i}.ln.b"])
+        caches.append((f"block{i}", (h, a, r, mask), ln_cache))
+        h = out
+    return h, caches
+
+
+def _backward_reference(ckpt, h, caches, dlogits):
+    p = ckpt.params
+    grads = {"out.w": dlogits.T @ h}
+    dh = dlogits @ p["out.w"]
+    for name, (h_in, a, r, mask), ln_cache in reversed(caches[1:]):
+        dres, grads[f"{name}.ln.g"], grads[f"{name}.ln.b"] = (
+            _layernorm_backward(dh, p[f"{name}.ln.g"], ln_cache))
+        grads[f"{name}.w2"] = dres.T @ r
+        grads[f"{name}.b2"] = dres.sum(axis=0)
+        dr = dres @ p[f"{name}.w2"]
+        if mask is not None:
+            dr = dr * mask
+        da = dr * (a > 0)
+        grads[f"{name}.w1"] = da.T @ h_in
+        grads[f"{name}.b1"] = da.sum(axis=0)
+        dh = dres + da @ p[f"{name}.w1"]
+    xp, idx = caches[0]
+    grads["conv.w"] = np.einsum("td,tki->dik", dh, xp[idx])
+    grads["conv.b"] = dh.sum(axis=0)
+    return grads
+
+
 def loss_and_grads_reference(ckpt, x, labels, dropout_rng=None):
-    """``model._loss_and_grads`` as two lattice passes: a checked grid, then
-    ``ctc_loss``, then ``ctc_grad``."""
-    h, caches = _encode(ckpt, x, dropout_rng=dropout_rng)
+    """Frame-normalized CTC loss and parameter gradients of one utterance,
+    step by step: the encoder, a checked grid, ``ctc_loss``, then
+    ``ctc_grad`` on the grid and backprop."""
+    h, caches = _encode_reference(ckpt, x, dropout_rng=dropout_rng)
     logits = h @ ckpt.params["out.w"].T
     log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
     grid = PosteriorGrid(log_probs=log_probs, alphabet=ckpt.alphabet)
     loss = ctc_loss(grid, labels) / grid.num_frames
     dlogits = ctc_grad(grid, labels) / grid.num_frames
-    return loss, _backward(ckpt, h, caches, dlogits)
+    return loss, _backward_reference(ckpt, h, caches, dlogits)
 
 
 def prefix_beam_search_reference(grid, beam_width=16):

@@ -308,7 +308,9 @@ def test_experiment_rejects_bad_config(runner, world_dir, tmp_path):
     missing_ckpt = tmp_path / "nope.ckpt"
     for text, code, culprit in BAD_CONFIG_FILES + [
             (f"mode: crosslingual_ft\npretrained_path: {missing_ckpt}\n", 1,
-             str(missing_ckpt))]:
+             str(missing_ckpt)),
+            ("mode: multilingual\nsupervision: subword\nbpe_vocab_size: 3\n",
+             2, "{path}: bpe_vocab_size")]:
         cfg.unlink(missing_ok=True)
         if text is not None:
             cfg.write_text(text)
@@ -568,7 +570,11 @@ def output_inputs(tmp_path, world_dir):
     ckpt = tmp_path / "world.ckpt"
     config = EncoderConfig(input_dim=10, hidden_dim=6, num_blocks=1)
     save_checkpoint(init_checkpoint(config, make_alphabet({"a", "b"})), ckpt)
+    subword = tmp_path / "subword.ckpt"
+    save_checkpoint(init_checkpoint(
+        config, make_alphabet({"a", "b", "ab"}, kind="subword")), subword)
     return {"bpe": str(bpe), "world_ckpt": str(ckpt),
+            "subword_ckpt": str(subword),
             "g2p": f"{world_dir}/lang-s1/g2p.fst.txt"}
 
 
@@ -654,6 +660,9 @@ def infeasible_world(tmp_path_factory):
     (["finetune", "--world", "{world}", "--pretrained", "{world_ckpt}",
       "--language", "u1", "--utterances", "-5", "-o", "{out}"],
      "--utterances"),
+    (["finetune", "--world", "{world}", "--pretrained", "{subword_ckpt}",
+      "--language", "u1", "-o", "{out}"],
+     "--pretrained {subword_ckpt}: a subword checkpoint"),
     (["lexicon", "--g2p", "{g2p}", "--words", "{unspellable}", "-o", "{out}"],
      "{unspellable}"),
     (["train", "--world", "{infeasible}", "--language", "s1", "-o", "{out}"],
@@ -665,7 +674,7 @@ def infeasible_world(tmp_path_factory):
       "-o", "{out}"], "{infeasible}: every utterance is CTC-infeasible"),
 ], ids=["lm-train-order", "g2p-nbest", "lexicon-nbest", "tokenizer-train-seed",
         "world-gen-seed", "train-seed", "finetune-seed", "finetune-utterances",
-        "lexicon-no-pronounceable-word", "train-infeasible-world",
+        "finetune-subword-checkpoint", "lexicon-no-pronounceable-word", "train-infeasible-world",
         "finetune-infeasible-world", "experiment-run-infeasible-world"])
 def test_rejected_value_is_a_one_line_error(runner, world_dir, damaged_files,
                                             text_files, output_inputs,

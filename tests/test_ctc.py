@@ -9,12 +9,18 @@ import support
 from phonectc.ctc import (
     InfeasibleAlignmentError,
     PosteriorGrid,
-    _softmax_grid,
+    _lattice_pass,
+    _softmax_grids,
     ctc_grad,
     ctc_loss,
     min_frames,
     prefix_beam_search,
 )
+
+
+def _softmax_grid(logits, alphabet=None):
+    """The training grid of all of ``logits``' rows."""
+    return _softmax_grids(logits, [len(logits)], alphabet)[0]
 
 
 def uniform_grid(T, V1):
@@ -156,6 +162,35 @@ def test_loss_after_grad_equals_fresh_loss_on_drawn_grids(data):
     ctc_grad(grid, other)  # the grid holds the last gradient's labels only
     assert ctc_loss(grid, labels) == fresh(labels)
     assert ctc_loss(grid, other) == fresh(other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_group_lattice_pass_equals_lone_passes(data):
+    """One pass over lattices of mixed lengths leaves on every grid the
+    gradient and marginal of a pass of that lattice alone."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cases = [_random_lattice(rng) for _ in range(data.draw(st.integers(1, 6)))]
+    grids = [PosteriorGrid(log_probs=grid.log_probs) for grid, _ in cases]
+    _lattice_pass(grids, [labels for _, labels in cases])
+    for grid, (lone, labels) in zip(grids, cases):
+        assert np.array_equal(ctc_grad(grid, labels), ctc_grad(lone, labels))
+        assert ctc_loss(grid, labels) == ctc_loss(lone, labels)
+        assert grid._lattice[1] == lone._lattice[1]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_softmax_grids_split_rows_and_check_every_run_when_untrusted():
+    logits = np.random.default_rng(16).normal(size=(5, 3))
+    lp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    grids = _softmax_grids(logits, [2, 0, 3], alphabet="A")
+    assert [g.num_frames for g in grids] == [2, 0, 3]
+    assert np.array_equal(np.concatenate([g.log_probs for g in grids]), lp)
+    assert all(g.alphabet == "A" for g in grids)
+    logits[4, 0] = np.inf  # the last run's row is not a distribution
+    with pytest.raises(ValueError, match="normalized"):
+        _softmax_grids(logits, [2, 3])
+    assert _softmax_grids(logits[:2], [2])[0].num_frames == 2
 
 
 def test_single_frame_single_label():

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 
 import support
 from phonectc import BLANK
+from phonectc import model
+from phonectc.ctc import min_frames
 from phonectc.inventory import make_alphabet
 from phonectc.model import (
     EncoderConfig,
     TrainSchedule,
-    _loss_and_grads,
+    _group_step,
+    _groups,
     export_embeddings,
     forward,
     init_checkpoint,
@@ -73,12 +78,18 @@ def test_forward_validates_input():
         forward(ckpt, bad)
 
 
+def loss_and_grads(ckpt, x, labels, dropout_rng=None):
+    """The group step of a one-utterance group."""
+    (loss,), grads = _group_step(ckpt, [(x, labels)], dropout_rng=dropout_rng)
+    return loss, grads
+
+
 def test_model_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     ckpt = small_ckpt()
     x = rng.normal(size=(8, 4))
     labels = [1, 2]
-    _, grads = _loss_and_grads(ckpt, x, labels)
+    _, grads = loss_and_grads(ckpt, x, labels)
     h = 1e-6
     for name in ("out.w", "conv.w", "conv.b", "block0.w1", "block0.ln.g"):
         p = ckpt.params[name]
@@ -86,9 +97,9 @@ def test_model_gradients_match_finite_differences():
         for idx in rng.choice(flat.size, size=min(6, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + h
-            up, _ = _loss_and_grads(ckpt, x, labels)
+            up, _ = loss_and_grads(ckpt, x, labels)
             flat[idx] = orig - h
-            down, _ = _loss_and_grads(ckpt, x, labels)
+            down, _ = loss_and_grads(ckpt, x, labels)
             flat[idx] = orig
             fd = (up - down) / (2 * h)
             got = grads[name].reshape(-1)[idx]
@@ -101,7 +112,7 @@ def test_training_step_on_nan_feature_raises():
     corpus = make_corpus(rng, ALPHABET, n=4)
     corpus[2][0][3, 1] = np.nan
     with pytest.raises(ValueError, match="normalized"):
-        _loss_and_grads(small_ckpt(), corpus[2][0], corpus[2][1])
+        loss_and_grads(small_ckpt(), corpus[2][0], corpus[2][1])
     schedule = TrainSchedule(total_steps=4, batch_size=2, max_epochs=1)
     with pytest.raises(ValueError, match="normalized"):
         train(small_ckpt(), corpus, schedule, seed=0)
@@ -110,8 +121,8 @@ def test_training_step_on_nan_feature_raises():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_loss_and_grads_equal_two_pass_reference(data):
-    """One lattice pass gives the bits of the two-pass step: a checked grid,
-    ctc_loss, then ctc_grad."""
+    """A one-utterance group gives the bits of the per-utterance two-pass
+    step: a checked grid, ctc_loss, then ctc_grad."""
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     config = EncoderConfig(input_dim=4, hidden_dim=6, num_blocks=2,
@@ -119,18 +130,122 @@ def test_loss_and_grads_equal_two_pass_reference(data):
     ckpt = init_checkpoint(config, ALPHABET, seed=int(rng.integers(100)))
     T = data.draw(st.integers(1, 20), label="T")
     x = rng.normal(0.0, data.draw(st.sampled_from([1.0, 30.0])), (T, 4))
-    t_out = subsampled_length(T, config.subsample_stride)
-    labels = [int(k) for k in rng.integers(1, len(ALPHABET),
-                                           size=int(rng.integers(0, t_out + 1)))]
-    labels = [k for i, k in enumerate(labels) if not i or k != labels[i - 1]]
-    loss, grads = _loss_and_grads(ckpt, x, labels,
-                                  dropout_rng=np.random.default_rng(seed))
+    labels = random_labels(rng, subsampled_length(T, config.subsample_stride))
+    loss, grads = loss_and_grads(ckpt, x, labels,
+                                 dropout_rng=np.random.default_rng(seed))
     want_loss, want = support.loss_and_grads_reference(
         ckpt, x, labels, dropout_rng=np.random.default_rng(seed))
     assert loss == want_loss
     assert grads.keys() == want.keys()
     for name in want:
         assert np.array_equal(grads[name], want[name]), name
+
+
+def random_labels(rng, frames, repeats=False):
+    """Labels that ``frames`` frames can align; with ``repeats`` equal
+    neighbours are kept, and may leave no frame to spare."""
+    labels = [int(k) for k in rng.integers(1, len(ALPHABET),
+                                           size=int(rng.integers(0, frames + 1)))]
+    if not repeats:
+        return [k for i, k in enumerate(labels) if not i or k != labels[i - 1]]
+    while min_frames(labels) > frames:
+        labels.pop()
+    return labels
+
+
+def within(got, want):
+    return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_group_step_matches_per_utterance_reference(data):
+    """Per-utterance losses and summed gradients of a group match the
+    per-utterance reference, which draws the same dropout masks: mixed
+    lengths, repeated labels, lattices with no frame to spare, groups on
+    both sides of the element budget."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    config = EncoderConfig(input_dim=4, hidden_dim=6,
+                           num_blocks=data.draw(st.integers(1, 2)),
+                           dropout=data.draw(st.sampled_from([0.0, 0.3])))
+    ckpt = init_checkpoint(config, ALPHABET, seed=int(rng.integers(100)))
+    group = []
+    for _ in range(data.draw(st.integers(1, 6), label="utterances")):
+        T = int(rng.integers(1, 40 if rng.random() < 0.8 else 400))
+        frames = subsampled_length(T, config.subsample_stride)
+        labels = random_labels(rng, frames, repeats=True)
+        while rng.random() < 0.3 and min_frames(labels) < frames:
+            labels.append(2 if labels and labels[-1] == 1 else 1)
+        group.append((rng.normal(size=(T, 4)), labels))
+    losses, grads = _group_step(ckpt, group,
+                                dropout_rng=np.random.default_rng(seed))
+    ref_rng = np.random.default_rng(seed)
+    refs = [support.loss_and_grads_reference(ckpt, x, labels, ref_rng)
+            for x, labels in group]
+    assert len(losses) == len(refs)
+    for loss, (want, _) in zip(losses, refs):
+        assert within(np.array(loss), np.array(want))
+    for name in ckpt.params:
+        want = refs[0][1][name].copy()
+        for _, ref in refs[1:]:
+            want += ref[name]
+        assert within(grads[name], want), name
+
+
+def test_dropout_draws_follow_the_per_utterance_order():
+    """Two blocks with dropout: a group of three utterances draws the masks
+    the per-utterance steps draw, one utterance after another and block by
+    block in each, and leaves the generator where they leave it."""
+    rng = np.random.default_rng(7)
+    config = EncoderConfig(input_dim=4, hidden_dim=6, num_blocks=2, dropout=0.4)
+    ckpt = init_checkpoint(config, ALPHABET, seed=1)
+    group = [(rng.normal(size=(T, 4)), labels)
+             for T, labels in ((9, [1, 2]), (4, [3]), (14, [2, 2, 1]))]
+    got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    losses, grads = _group_step(ckpt, group, dropout_rng=got_rng)
+    for (x, labels), loss in zip(group, losses):
+        want, _ = support.loss_and_grads_reference(ckpt, x, labels, ref_rng)
+        assert within(np.array(loss), np.array(want))
+    assert got_rng.random() == ref_rng.random()
+    # one utterance alone: its masks are the reference's bit for bit
+    (loss,), _ = _group_step(ckpt, group[2:], np.random.default_rng(9))
+    want, _ = support.loss_and_grads_reference(ckpt, *group[2],
+                                               np.random.default_rng(9))
+    assert loss == want
+
+
+@pytest.mark.parametrize("frames, width, want", [
+    ([10, 20, 40], 64, [[0, 1], [2]]),
+    ([64, 1, 63], 64, [[0], [1, 2]]),
+    ([100, 5, 5], 64, [[0], [1, 2]]),
+    ([3, 4, 5], 256, [[0, 1, 2]]),
+    ([20, 20], 256, [[0], [1]]),
+])
+def test_groups_are_consecutive_runs_within_the_budget(monkeypatch, frames,
+                                                       width, want):
+    monkeypatch.setattr(model, "GROUP_ELEMENTS", 4096)
+    assert _groups(range(len(frames)), frames, width) == want
+    assert _groups([2, 0], [7, 9, 200], 20) == [[2], [0]]
+
+
+def test_tracer_counts_one_grad_and_one_loss_per_utterance_step(monkeypatch):
+    """The benchmark's tracer reads ctc_grad calls and in-train ctc_loss
+    calls as the training run's utterance steps."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    layertrace = importlib.import_module("layertrace")
+    rng = np.random.default_rng(10)
+    corpus = make_corpus(rng, ALPHABET, n=7)
+    corpus.append((rng.normal(size=(2, 4)), [1, 2, 3, 1]))  # infeasible
+    corpus.append((rng.normal(size=(400, 4)), [1, 2]))  # a group alone
+    schedule = TrainSchedule(total_steps=6, batch_size=4, max_epochs=2)
+    with layertrace.Tracer().installed() as tracer:
+        _, history = model.train(small_ckpt(), corpus, schedule, seed=0)
+    steps = len(history["epochs"]) * (len(corpus) - 1)
+    assert history["skipped_infeasible"] == 1
+    assert tracer.stats["model.train"].counts["utt_steps"] == steps
+    assert tracer.stats["ctc.ctc_grad"].calls == steps
+    assert tracer.stats["ctc.ctc_loss"].counts["in_train"] == steps
 
 
 def make_corpus(rng, alphabet, n=12, T=12):

@@ -129,7 +129,7 @@ def test_drawn_worlds_never_end_in_a_traceback(tmp_path_factory, world,
         succeeded(run(main, [
             "finetune", "--world", str(w), "--pretrained", str(ckpt),
             "--language", target, "--utterances", str(utterances),
-            "-o", str(ft)]), w)
+            "-o", str(ft)]), w, ckpt)
 
     arpa, graph = tmp / "lm.arpa", tmp / "lg.fst.txt"
     built = succeeded(run(main, [
