@@ -375,6 +375,7 @@ def world_gen(out, seed, config_path):
 @click.option("-o", "--out", required=True, help="Output checkpoint.")
 def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
     """Train an acoustic model on a world language (or all seen languages)."""
+    from .bpe import VocabSizeError
     from .experiment import Pipeline
     from .model import save_checkpoint
     from .world import load_world
@@ -389,7 +390,9 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
             _write(bpe.save, str(out) + ".bpe")
         ckpt, history = pipe.train_languages(codes, seed, supervision, bpe)
     except ValueError as err:
-        raise click.UsageError(f"{world_dir}: {err}") from err
+        # the world sets a vocabulary's floor, the flag its size
+        by = ", set by --bpe-vocab-size" if isinstance(err, VocabSizeError) else ""
+        raise click.UsageError(f"{world_dir}: {err}{by}") from err
     _write(partial(save_checkpoint, ckpt), out)
     last = history["epochs"][-1]
     click.echo(
@@ -538,8 +541,7 @@ def experiment():
 @click.option("-o", "--out", default=None, help="Override output directory.")
 def experiment_run(world_dir, config_path, out):
     """Run one experiment config against a world."""
-    from .bpe import VocabSizeError
-    from .experiment import ExperimentConfig, run_experiment
+    from .experiment import ConfigError, ExperimentConfig, run_experiment
     from .model import load_checkpoint
     from .world import load_world
 
@@ -553,15 +555,12 @@ def experiment_run(world_dir, config_path, out):
     made = not Path(config.output_dir).exists()
     _write(lambda d: Path(d).mkdir(parents=True, exist_ok=True),
            config.output_dir)
-    try:  # training data the model cannot learn from
+    try:  # a rejected config field, or data the model cannot learn from
         report = run_experiment(world, config, base)
     except ValueError as err:
         if made:
             shutil.rmtree(config.output_dir)
-        # the world sets a vocabulary's floor, the config its size
-        culprit = world_dir
-        if isinstance(err, VocabSizeError):
-            culprit = f"{config_path}: bpe_vocab_size"
+        culprit = config_path if isinstance(err, ConfigError) else world_dir
         raise click.UsageError(f"{culprit}: {err}") from err
     click.echo(json.dumps(report, ensure_ascii=False, sort_keys=True))
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import check_field_types, is_integer
-from .bpe import LanguageStats, sample_corpus, train_bpe
+from .bpe import LanguageStats, VocabSizeError, sample_corpus, train_bpe
 from .ctc import prefix_beam_search
 from .decodegraph import DecodeFailureError, build_decode_graph, decode
 from .inventory import build_union_alphabet, make_alphabet
@@ -75,13 +75,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown supervision: {self.supervision!r}")
         if self.init_mode not in ("copy_shared", "random_all", "scratch"):
             raise ValueError(f"unknown init_mode: {self.init_mode!r}")
-        # TrainSchedule checks batch_size before make_schedule divides by it;
         # an unknown key is a TypeError
-        for key, build in (("encoder", partial(EncoderConfig, **DEFAULT_ENCODER)),
-                           ("schedule", partial(TrainSchedule, **DEFAULT_SCHEDULE)),
-                           ("schedule", partial(make_schedule, 1))):
+        for key, build in (("encoder", _encoder_config),
+                           ("schedule", lambda mapping: TrainSchedule(**mapping))):
             try:
-                build(**getattr(self, key))
+                build(getattr(self, key))
             except (TypeError, ValueError) as err:
                 raise ValueError(f"{key} {getattr(self, key)}: {err}") from err
         if self.beam < 1:
@@ -96,6 +94,9 @@ class ExperimentConfig:
             )
         if self.finetunes and not self.pretrained_path:
             raise ValueError("crosslingual_ft needs a pretrained checkpoint")
+        if self.forgetting_eval and not self.finetunes:
+            raise ValueError("forgetting_eval needs a pretrained model to forget: "
+                             "mode crosslingual_ft, init_mode not scratch")
 
     @property
     def finetunes(self):
@@ -107,26 +108,27 @@ class ExperimentConfig:
 # as this cap, and run_experiment records that it was
 WARD_BASELINE_CAP = 99.999
 
-DEFAULT_ENCODER = dict(input_dim=10, hidden_dim=16, num_blocks=1,
-                       subsample_stride=2, dropout=0.0)
-DEFAULT_SCHEDULE = dict(peak_lr=4e-2, batch_size=16, max_epochs=60,
-                        early_stop_patience=10, avg_top_k=3)
+
+class ConfigError(ValueError):
+    """A config field that the world or the checkpoint rejects; the message
+    leads with the field."""
 
 
-def make_schedule(n_utts, **overrides):
-    opts = {**DEFAULT_SCHEDULE, **overrides}
-    batches = -(-max(1, n_utts) // opts["batch_size"])
-    opts.setdefault("total_steps", opts["max_epochs"] * batches)
-    return TrainSchedule(**opts)
+def _encoder_config(encoder, feature_dim=EncoderConfig.input_dim):
+    """The EncoderConfig of an ``encoder`` mapping over features of
+    ``feature_dim``, the world's, which the mapping cannot set."""
+    if "input_dim" in encoder:
+        raise ValueError("input_dim is the world's feature_dim, not an "
+                         "encoder setting")
+    return EncoderConfig(input_dim=feature_dim, **encoder)
 
 
 class Pipeline:
     def __init__(self, world, encoder=None, lm_order=2, beam=16,
                  acoustic_scale=1.0):
         self.world = world
-        enc = {**DEFAULT_ENCODER, **(encoder or {})}
-        enc["input_dim"] = world.config.feature_dim
-        self.encoder_config = EncoderConfig(**enc)
+        self.encoder_config = _encoder_config(encoder or {},
+                                              world.config.feature_dim)
         self.lm_order = lm_order
         self.beam = beam
         self.acoustic_scale = acoustic_scale
@@ -191,8 +193,7 @@ class Pipeline:
             codes, supervision, bpe, limit=limit
         )
         ckpt = init_checkpoint(self.encoder_config, alphabet, seed=seed)
-        schedule = make_schedule(len(corpus), **sched)
-        return train(ckpt, corpus, schedule, seed, val_corpus=val)
+        return train(ckpt, corpus, TrainSchedule(**sched), seed, val_corpus=val)
 
     def train_monolingual(self, code, seed, **sched):
         return self.train_languages([code], seed, **sched)
@@ -226,8 +227,7 @@ class Pipeline:
             [code], supervision, bpe, alphabet, n_utts
         )
         ckpt = transfer_init(pretrained, alphabet, mode, seed)
-        schedule = make_schedule(len(corpus), **sched)
-        return train(ckpt, corpus, schedule, seed, val_corpus=val)
+        return train(ckpt, corpus, TrainSchedule(**sched), seed, val_corpus=val)
 
     def train_scratch(self, code, seed, n_utts=None, **sched):
         return self.train_languages([code], seed, limit=n_utts, **sched)
@@ -318,7 +318,10 @@ def run_experiment(world, config, base=None):
     ``base`` is the checkpoint at ``config.pretrained_path`` if the caller
     has loaded it. A language code the world lacks, or no ``ft_language``
     and no unseen language to finetune on, raises ``WorldError``, and a
-    checkpoint that cannot be loaded its error, before any work."""
+    checkpoint that cannot be loaded its error, before any work.
+    ``ConfigError`` names a field the world or the checkpoint rejects: an
+    ``encoder`` other than the finetuned checkpoint's, which it keeps
+    (before any work), or a ``bpe_vocab_size`` below the world's floor."""
     world.check_codes(
         list(config.languages) + ([config.ft_language] if config.ft_language else [])
     )
@@ -328,12 +331,16 @@ def run_experiment(world, config, base=None):
                          f"language; it has {', '.join(world.languages)}")
     if base is None and config.finetunes:
         base = load_checkpoint(config.pretrained_path)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipe = Pipeline(
         world, encoder=config.encoder, lm_order=config.lm_order,
         beam=config.beam, acoustic_scale=config.acoustic_scale,
     )
+    if base is not None and config.encoder and pipe.encoder_config != base.config:
+        raise ConfigError(
+            f"encoder {config.encoder}: a finetune keeps the encoder of its "
+            f"checkpoint, and {config.pretrained_path} holds {base.config}")
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     histories = []  # (language, scale, history), one per training
     report = {"mode": config.mode, "supervision": config.supervision,
               "seed": config.seed, "results": []}
@@ -356,7 +363,10 @@ def run_experiment(world, config, base=None):
     sched = dict(config.schedule)
     bpe = None
     if config.supervision == "subword":
-        bpe = pipe.train_bpe_model(config.seed, config.bpe_vocab_size)
+        try:
+            bpe = pipe.train_bpe_model(config.seed, config.bpe_vocab_size)
+        except VocabSizeError as err:  # the world sets its floor
+            raise ConfigError(f"bpe_vocab_size: {err}") from err
         bpe.save(out_dir / "bpe.model")
     train_new = partial(pipe.train_languages, seed=config.seed,
                         supervision=config.supervision, bpe=bpe, **sched)
@@ -378,8 +388,7 @@ def run_experiment(world, config, base=None):
         code = ft_code
         scales = list(config.ft_data_scales) or [0]
         ft_alphabet = None
-        if (config.supervision == "phoneme" and config.forgetting_eval
-                and base is not None):
+        if config.supervision == "phoneme" and config.forgetting_eval:
             # union alphabet keeps the seen languages decodable after FT
             units = set(base.alphabet.units[1:]) | set(
                 world.languages[code].inventory.units
@@ -398,7 +407,7 @@ def run_experiment(world, config, base=None):
                 )
             histories.append((code, label, history))
             score(final, code, label)
-            if config.forgetting_eval and base is not None:
+            if config.forgetting_eval:
                 w, before, after = pipe.forgetting_ward(
                     base, final, supervision=config.supervision, bpe=bpe
                 )

@@ -31,12 +31,12 @@ GROUP_ELEMENTS = 4096
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    input_dim: int = 80
-    hidden_dim: int = 512
-    num_blocks: int = 2
+    input_dim: int = 10
+    hidden_dim: int = 16
+    num_blocks: int = 1
     subsample_stride: int = 2
     conv_kernel: int = 3
-    dropout: float = 0.1
+    dropout: float = 0.0
 
     def __post_init__(self):
         check_field_types(self, ValueError, {})
@@ -50,11 +50,15 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    peak_lr: float = 3e-3
-    total_steps: int = 1000
+    """Adam over at most ``max_epochs`` passes of ``batch_size`` minibatches,
+    with a Noam learning rate that peaks at ``peak_lr`` once warmup ends.
+    Warmup is ``warmup_fraction`` of the steps that ``max_epochs`` full
+    passes over the training corpus take. The defaults are the toolkit's."""
+
+    peak_lr: float = 4e-2
     warmup_fraction: float = 0.10
-    batch_size: int = 8
-    max_epochs: int = 100
+    batch_size: int = 16
+    max_epochs: int = 60
     early_stop_patience: int = 10
     avg_top_k: int = 3
     adam_beta1: float = 0.9
@@ -63,20 +67,20 @@ class TrainSchedule:
 
     def __post_init__(self):
         check_field_types(self, ValueError, {})
-        for name in ("total_steps", "batch_size", "max_epochs", "avg_top_k"):
+        for name in ("batch_size", "max_epochs", "avg_top_k"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.warmup_fraction < 1:
             raise ValueError("warmup_fraction must lie in (0, 1)")
 
-    @property
-    def warmup_steps(self):
-        return max(1, int(round(self.warmup_fraction * self.total_steps)))
+    def warmup_steps(self, n_utts):
+        """Warmup steps of a training on ``n_utts`` utterances (at least 1)."""
+        batches = -(-max(1, n_utts) // self.batch_size)
+        return max(1, round(self.warmup_fraction * (self.max_epochs * batches)))
 
-    def learning_rate(self, step):
-        """Noam-shaped schedule scaled so the maximum equals peak_lr."""
-        w = self.warmup_steps
-        return self.peak_lr * min(step / w, math.sqrt(w / step))
+    def learning_rate(self, step, warmup):
+        """Noam-shaped rate whose maximum, at step ``warmup``, is peak_lr."""
+        return self.peak_lr * min(step / warmup, math.sqrt(warmup / step))
 
 
 @dataclass
@@ -331,6 +335,10 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     stacked rows, so parameters differ in the last bits from a step per
     utterance, whose products BLAS rounds otherwise.
 
+    Warmup is ``schedule.warmup_steps(len(corpus))``, CTC-infeasible
+    utterances counted, and the step count goes on from the checkpoint's
+    ``step``, so a finetune inherits its pretraining's place in the schedule.
+
     Returns (final checkpoint, history). History holds per-epoch train and
     validation losses, the number of utterances skipped as CTC-infeasible,
     and the epoch count to convergence (best validation loss).
@@ -360,6 +368,7 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     m = {k: np.zeros_like(v) for k, v in ckpt.params.items()}
     v = {k: np.zeros_like(p) for k, p in ckpt.params.items()}
     step = int(ckpt.metadata.get("step", 0))
+    warmup = schedule.warmup_steps(len(corpus))
     b1, b2, eps = schedule.adam_beta1, schedule.adam_beta2, schedule.adam_eps
 
     history = {
@@ -389,7 +398,7 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
                 for k in acc:
                     acc[k] += grads[k]
             step += 1
-            lr = schedule.learning_rate(step)
+            lr = schedule.learning_rate(step, warmup)
             scale = 1.0 / len(batch)
             for k, p in ckpt.params.items():
                 g = acc[k]

@@ -73,9 +73,10 @@ def test_training_path_records_every_traced_layer(layertrace):
 
     rng = np.random.default_rng(0)
     corpus = [(rng.normal(size=(8, 4)), [1, 2]) for _ in range(4)]
-    config = model.EncoderConfig(input_dim=4, hidden_dim=6, num_blocks=1)
+    config = model.EncoderConfig(input_dim=4, hidden_dim=6, num_blocks=1,
+                                 dropout=0.1)
     ckpt = model.init_checkpoint(config, make_alphabet({"a", "b"}))
-    schedule = model.TrainSchedule(total_steps=2, batch_size=2, max_epochs=1)
+    schedule = model.TrainSchedule(peak_lr=3e-3, batch_size=2, max_epochs=1)
     with layertrace.Tracer().installed() as tracer:
         model.train(ckpt, corpus, schedule, seed=0)
     stats = tracer.stats

@@ -783,3 +783,49 @@ def test_train_with_a_vocabulary_too_small_is_a_one_line_error(
     last = result.output.strip().splitlines()[-1]
     assert last.startswith(f"Error: {world_dir}: vocab_size 3 below")
     assert not out.exists()
+
+
+def test_train_names_the_flag_that_sets_a_vocabulary_too_small(
+        runner, world_dir, tmp_path):
+    out = tmp_path / "m.ckpt"
+    result = runner.invoke(main, [
+        "train", "--world", world_dir, "--language", "s1", "--supervision",
+        "subword", "--bpe-vocab-size", "3", "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    last = result.output.strip().splitlines()[-1]
+    assert last.startswith("Error: ") and "--bpe-vocab-size" in last
+    assert not out.exists()
+
+
+# experiment configs that set what the run would otherwise drop: an encoder
+# other than the finetuned checkpoint's, a WARD with no pretrained model, an
+# input width other than the world's; each error names the field
+@pytest.mark.parametrize("text, field", [
+    ("mode: crosslingual_ft\nft_language: u1\npretrained_path: {ckpt}\n"
+     "encoder: {{hidden_dim: 32}}\n", "encoder"),
+    ("mode: crosslingual_ft\ninit_mode: scratch\nforgetting_eval: true\n",
+     "forgetting_eval"),
+    ("mode: monolingual\nforgetting_eval: true\n", "forgetting_eval"),
+    ("mode: monolingual\nencoder: {{input_dim: 80}}\n", "input_dim"),
+], ids=["finetune-encoder", "scratch-forgetting", "monolingual-forgetting",
+        "input-dim"])
+def test_experiment_setting_the_run_would_drop_is_a_one_line_error(
+        runner, world_dir, tmp_path, text, field):
+    from phonectc.inventory import make_alphabet
+    from phonectc.model import EncoderConfig, init_checkpoint, save_checkpoint
+
+    ckpt = tmp_path / "base.ckpt"
+    save_checkpoint(init_checkpoint(EncoderConfig(), make_alphabet({"a", "b"})),
+                    ckpt)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(text.format(ckpt=ckpt))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "run", "--world", world_dir,
+                                  "--config", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    last = result.output.strip().splitlines()[-1]
+    assert last.startswith(f"Error: {cfg}: ") and field in last, last
+    if field == "encoder":
+        assert str(ckpt) in last
+    assert not out.exists()

@@ -10,9 +10,9 @@ import yaml
 from phonectc.ctc import min_frames
 from phonectc.experiment import (
     WARD_BASELINE_CAP,
+    ConfigError,
     ExperimentConfig,
     Pipeline,
-    make_schedule,
     run_experiment,
 )
 from phonectc.model import (
@@ -155,12 +155,6 @@ def test_multilingual_subword_run_saves_the_pipeline_model(world, runs):
     assert saved.params.keys() == final.params.keys()
     for name, value in final.params.items():
         assert np.array_equal(saved.params[name], value), name
-
-
-def test_make_schedule_steps():
-    s = make_schedule(100, batch_size=10, max_epochs=7)
-    assert s.total_steps == 70
-    assert s.batch_size == 10
 
 
 def test_monolingual_run_outputs(world, tmp_path):
@@ -326,3 +320,35 @@ def test_crosslingual_run_needs_a_language_to_finetune_on(tmp_path):
     with pytest.raises(WorldError, match=r"^ft_language is empty.*has s1$"):
         run_experiment(world, config)
     assert not out.exists()
+
+
+def test_input_dim_comes_from_the_world(world):
+    message = re.escape("encoder {'input_dim': 80}: input_dim")
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ExperimentConfig(mode="monolingual", encoder={"input_dim": 80})
+    with pytest.raises(ValueError, match="^input_dim is the world's"):
+        Pipeline(world, encoder={"input_dim": 80, "hidden_dim": 8})
+    pipe = Pipeline(world, encoder=TINY_ENC)
+    assert pipe.encoder_config.input_dim == world.config.feature_dim
+
+
+def test_finetune_keeps_its_checkpoints_encoder(world, tmp_path):
+    pipe = Pipeline(world, encoder=TINY_ENC)
+    base = init_checkpoint(pipe.encoder_config,
+                           pipe.phoneme_alphabet(world.seen_codes))
+    save_checkpoint(base, tmp_path / "base.ckpt")
+    common = dict(mode="crosslingual_ft", ft_language="u1", ft_data_scales=(4,),
+                  pretrained_path=str(tmp_path / "base.ckpt"), seed=0,
+                  schedule=dict(max_epochs=1))
+    for encoder in ({"hidden_dim": 32}, {**TINY_ENC, "dropout": 0.2}):
+        out = tmp_path / "other"
+        config = ExperimentConfig(encoder=encoder, output_dir=str(out), **common)
+        message = rf"^encoder {re.escape(str(encoder))}: .*base\.ckpt holds"
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(world, config)
+        assert not out.exists()
+    # the checkpoint's own settings, or none, finetune it
+    for encoder in (TINY_ENC, {}):
+        config = ExperimentConfig(encoder=encoder,
+                                  output_dir=str(tmp_path / "ft"), **common)
+        assert run_experiment(world, config)["results"]

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import re
@@ -113,7 +114,7 @@ def test_training_step_on_nan_feature_raises():
     corpus[2][0][3, 1] = np.nan
     with pytest.raises(ValueError, match="normalized"):
         loss_and_grads(small_ckpt(), corpus[2][0], corpus[2][1])
-    schedule = TrainSchedule(total_steps=4, batch_size=2, max_epochs=1)
+    schedule = TrainSchedule(peak_lr=3e-3, batch_size=2, max_epochs=1)
     with pytest.raises(ValueError, match="normalized"):
         train(small_ckpt(), corpus, schedule, seed=0)
 
@@ -238,7 +239,7 @@ def test_tracer_counts_one_grad_and_one_loss_per_utterance_step(monkeypatch):
     corpus = make_corpus(rng, ALPHABET, n=7)
     corpus.append((rng.normal(size=(2, 4)), [1, 2, 3, 1]))  # infeasible
     corpus.append((rng.normal(size=(400, 4)), [1, 2]))  # a group alone
-    schedule = TrainSchedule(total_steps=6, batch_size=4, max_epochs=2)
+    schedule = TrainSchedule(peak_lr=3e-3, batch_size=4, max_epochs=2)
     with layertrace.Tracer().installed() as tracer:
         _, history = model.train(small_ckpt(), corpus, schedule, seed=0)
     steps = len(history["epochs"]) * (len(corpus) - 1)
@@ -262,8 +263,10 @@ def make_corpus(rng, alphabet, n=12, T=12):
 def test_training_overfits_toy_corpus():
     rng = np.random.default_rng(3)
     corpus = make_corpus(rng, ALPHABET)
-    schedule = TrainSchedule(peak_lr=3e-2, total_steps=400, batch_size=4,
-                             max_epochs=100, early_stop_patience=100)
+    # warmup 40 of 12 / 4 x 100 = 300 steps
+    schedule = TrainSchedule(peak_lr=3e-2, warmup_fraction=40 / 300,
+                             batch_size=4, max_epochs=100,
+                             early_stop_patience=100)
     final, history = train(small_ckpt(), corpus, schedule, seed=0)
     first = history["epochs"][0]["train_loss"]
     last = history["epochs"][-1]["train_loss"]
@@ -273,7 +276,7 @@ def test_training_overfits_toy_corpus():
 def test_training_deterministic():
     rng = np.random.default_rng(4)
     corpus = make_corpus(rng, ALPHABET, n=6)
-    schedule = TrainSchedule(peak_lr=1e-2, total_steps=50, batch_size=3,
+    schedule = TrainSchedule(peak_lr=1e-2, warmup_fraction=0.5, batch_size=3,
                              max_epochs=5)
     f1, h1 = train(small_ckpt(), corpus, schedule, seed=9)
     f2, h2 = train(small_ckpt(), corpus, schedule, seed=9)
@@ -286,7 +289,7 @@ def test_training_skips_infeasible():
     rng = np.random.default_rng(5)
     corpus = make_corpus(rng, ALPHABET, n=4)
     corpus.append((rng.normal(size=(2, 4)), [1, 2, 3, 1, 2, 3]))
-    schedule = TrainSchedule(total_steps=10, max_epochs=1)
+    schedule = TrainSchedule(peak_lr=3e-3, batch_size=8, max_epochs=1)
     _, history = train(small_ckpt(), corpus, schedule, seed=0)
     assert history["skipped_infeasible"] == 1
 
@@ -294,7 +297,7 @@ def test_training_skips_infeasible():
 def test_early_stopping_and_convergence_epoch():
     rng = np.random.default_rng(6)
     corpus = make_corpus(rng, ALPHABET, n=6)
-    schedule = TrainSchedule(peak_lr=5e-2, total_steps=300, batch_size=3,
+    schedule = TrainSchedule(peak_lr=5e-2, warmup_fraction=0.15, batch_size=3,
                              max_epochs=100, early_stop_patience=3)
     _, history = train(small_ckpt(), corpus, schedule, seed=0)
     assert len(history["epochs"]) <= 100
@@ -302,11 +305,26 @@ def test_early_stopping_and_convergence_epoch():
 
 
 def test_noam_peak_at_warmup():
-    s = TrainSchedule(peak_lr=1.0, total_steps=100, warmup_fraction=0.2)
-    lrs = [s.learning_rate(t) for t in range(1, 101)]
-    assert max(lrs) == pytest.approx(s.learning_rate(s.warmup_steps))
-    assert s.learning_rate(s.warmup_steps) == pytest.approx(1.0)
-    assert lrs[0] < lrs[s.warmup_steps - 1] > lrs[-1]
+    s = TrainSchedule(peak_lr=1.0, warmup_fraction=0.2, batch_size=1,
+                      max_epochs=1)
+    w = s.warmup_steps(100)
+    lrs = [s.learning_rate(t, w) for t in range(1, 101)]
+    assert max(lrs) == pytest.approx(s.learning_rate(w, w))
+    assert s.learning_rate(w, w) == pytest.approx(1.0)
+    assert lrs[0] < lrs[w - 1] > lrs[-1]
+
+
+def test_warmup_is_a_fraction_of_every_epoch_step():
+    """Warmup is warmup_fraction of max_epochs passes of ceil(n / batch_size)
+    minibatches, as a total step count of those passes gave it before."""
+    for n, batch_size, max_epochs, fraction in itertools.product(
+            [0, 1, 7, 16, 17, 100, 1235], [1, 3, 8, 16], [1, 4, 30, 60, 100],
+            [0.01, 0.1, 0.15, 0.25, 40 / 300, 0.5, 0.99]):
+        s = TrainSchedule(warmup_fraction=fraction, batch_size=batch_size,
+                          max_epochs=max_epochs)
+        total_steps = max_epochs * -(-max(1, n) // batch_size)
+        want = max(1, int(round(fraction * total_steps)))
+        assert s.warmup_steps(n) == want, (n, batch_size, max_epochs, fraction)
 
 
 def test_transfer_full_overlap_copies_everything():
