@@ -422,6 +422,12 @@ def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     pipe = Pipeline(_load(load_world, world_dir))
     _check_codes(pipe.world, [language])
     base = _load(load_checkpoint, pretrained_path)
+    feature_dim = pipe.world.config.feature_dim
+    if base.config.input_dim != feature_dim:
+        raise click.UsageError(
+            f"--pretrained {pretrained_path}: input_dim "
+            f"{base.config.input_dim}, but {world_dir} has {feature_dim}-dim "
+            "features")
     if mode == "copy_shared" and base.alphabet.kind != "phoneme":
         raise click.UsageError(
             f"--pretrained {pretrained_path}: a {base.alphabet.kind} "

@@ -5,13 +5,18 @@ the exact negative log marginal over every blank-augmented alignment that
 collapses to the label sequence, computed on the standard 2L+1-state
 interleaved lattice.
 
-A lattice pass runs alpha and beta as one recursion, for one lattice or
-for a training group's lattices side by side, and leaves on each grid its
-labels, log marginal and state occupancy. ``ctc_grad`` and ``ctc_loss`` with
-the same labels read them instead of running the lattice again, so a
-training utterance costs one share of one pass (Graves et al., ICML 2006). A
-grid's rows must therefore not change after it is made: ``log_probs`` is a
-read-only view.
+Lattices run as groups. One set-up lays every lattice of a group side by
+side in one row of states: interleaved states, skip masks and the emission
+gather are arrays of the whole group, and a gradient adds each lattice's
+time- and state-reversed twin, whose alpha is beta. One recursion then runs
+them all (Graves et al., ICML 2006), and gamma and the occupancy scatter
+again take the whole group at once. ``ctc_loss`` is a forward group of one
+lattice, and validation a forward group of many. A lattice pass runs a group
+both ways and leaves on each grid its labels, log marginal and state
+occupancy; ``ctc_grad`` and ``ctc_loss`` with the same labels read them
+instead of running the lattice again, so a training utterance costs one
+share of one pass. A grid's rows must therefore not change after it is made:
+``log_probs`` is a read-only view.
 """
 
 from __future__ import annotations
@@ -29,6 +34,13 @@ class InfeasibleAlignmentError(ValueError):
     """Label sequence too long for the number of frames."""
 
 
+def log_softmax(logits):
+    """Row-wise log-softmax of a 2-D array: each row less its maximum, less
+    the log of the sum of the exps of that."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 @dataclass(frozen=True)
 class PosteriorGrid:
     """Per-frame log label distributions, shape T x (|V|+1)."""
@@ -41,7 +53,8 @@ class PosteriorGrid:
         lp = np.asarray(self.log_probs, dtype=np.float64)
         if lp.ndim != 2:
             raise ValueError("log_probs must be a T x (|V|+1) matrix")
-        sums = np.logaddexp.reduce(lp, axis=1)
+        top = lp.max(axis=1, keepdims=True, initial=NEG_INF)
+        sums = top[:, 0] + np.log(np.exp(lp - top).sum(axis=1))
         if not np.all(np.abs(sums) <= 1e-6):
             raise ValueError("rows must be normalized log distributions")
         object.__setattr__(self, "log_probs", _read_only(lp))
@@ -62,21 +75,22 @@ def _read_only(a):
 
 
 def _softmax_grids(logits, frames, alphabet=None):
-    """The grids of the row-wise log-softmax of ``logits``, one per run of
-    consecutive rows of lengths ``frames``, made without PosteriorGrid's
+    """The grids of the row-wise ``log_softmax`` of ``logits``, one per run
+    of consecutive rows of lengths ``frames``, made without PosteriorGrid's
     re-check of the row sums wherever that check cannot fail.
 
-    For finite logits of magnitude at most B over n labels, each of the
-    2(n-1) log-add-exp steps and n subtractions behind a row sum is off by a
-    few units in the last place of a number below B + n, so the row sums to
-    within 10 n (B + n) 2**-53 of 0: below 1e-6 while n (B + n) <= 2**29.
-    Any other logits, non-finite ones included, get checked grids, which
-    raise exactly where they always did.
+    For finite logits over n labels, whatever their magnitude, each rounding
+    is relative to a log p whose p it moves by at most p |log p| 2**-53, at
+    most 2**-53 / e: so the shift by the row maximum, the final subtraction
+    and the check's own shift each move a row sum by under n/e units of
+    2**-53, and the exps, sums and logs of both sides by a few units each
+    plus under 2n for the sums. A row sums to within 4n + 400 units of 2**-53
+    of 0 as the check computes it: below 1e-6 while n <= 2**30. Any other
+    logits, non-finite ones included, get checked grids, which raise where
+    PosteriorGrid does.
     """
-    log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
-    n = logits.shape[1]
-    bound = max(logits.max(initial=0.0), -logits.min(initial=0.0))
-    trusted = n * (bound + n) <= 2**29
+    log_probs = log_softmax(logits)
+    trusted = logits.shape[1] <= 2**30 and np.isfinite(logits).all()
     grids, lo = [], 0
     for t in frames:
         rows, lo = log_probs[lo : lo + t], lo + t
@@ -96,49 +110,30 @@ def min_frames(labels):
     return len(labels) + sum(map(operator.eq, labels, labels[1:]))
 
 
-def _check_labels(grid, labels):
+def _check_labels(num_frames, num_labels, labels):
+    """``labels`` as a list, once a lattice of ``num_frames`` frames over
+    ``num_labels`` labels can align them; a lattice needs one frame."""
     labels = list(labels)
     if BLANK_ID in labels:
         raise ValueError("labels must not contain the blank index")
-    if labels and not (0 < min(labels) and max(labels) < grid.num_labels):
+    if labels and not (0 < min(labels) and max(labels) < num_labels):
         raise IndexError("label index outside the alphabet")
     need = min_frames(labels)
-    if grid.num_frames < need:
+    if num_frames < max(need, 1):
         raise InfeasibleAlignmentError(
             f"{len(labels)} labels (+{need - len(labels)} repeats) need more "
-            f"than {grid.num_frames} frames"
+            f"than {num_frames} frames"
         )
     return labels
 
 
-def _interleave(labels):
-    states = np.full(2 * len(labels) + 1, BLANK_ID, dtype=np.int64)
-    states[1::2] = labels
-    return states
-
-
-def _skips(states):
-    """Additive mask of the skip from state s-2 into s: 0 where s is a label
-    that differs from the label two states back, -inf elsewhere."""
-    mask = np.full(len(states), NEG_INF)
-    mask[3::2][states[3::2] != states[1:-2:2]] = 0.0
-    return mask
-
-
-def _forward(lattices):
-    """Alpha of each lattice (log emission of each state at each frame, of
-    shape (T, S), and skip mask (S,)), all from one recursion."""
-    # The lattices lie side by side in one row, each behind two pad states
-    # that emit -inf and so stay -inf, and emit -inf past their last frame:
-    # the stay, diag and skip shifts of a frame are views of the row before.
-    # A frame's row holds its emissions until alpha is added onto them.
-    starts = np.cumsum([2] + [e.shape[1] + 2 for e, _ in lattices])
-    rows = np.full((max(len(e) for e, _ in lattices), starts[-1] - 2), NEG_INF)
-    mask = np.full(rows.shape[1], NEG_INF)
-    for (emit, skip), c in zip(lattices, starts):
-        rows[1 : len(emit), c : c + len(skip)] = emit[1:]
-        rows[0, c : c + len(skip)][:2] = emit[0, :2]
-        mask[c : c + len(skip)] = skip
+def _forward(rows, mask):
+    """Alpha, in place, of the lattices side by side in ``rows``, each
+    behind two pad states that emit -inf and so stay -inf, and emitting -inf
+    past its last frame: the stay, diag and skip shifts of a frame are views
+    of the row before. A frame's row holds its emissions until alpha is
+    added onto them. ``mask`` is 0 where a state is a label that differs
+    from the label two states back, -inf elsewhere."""
     alpha, diag, jump = rows[:, 2:], rows[:, 1:-1], rows[:, :-2]
     mask = mask[2:]
     into, skipped = np.empty_like(mask), np.empty_like(mask)
@@ -147,14 +142,76 @@ def _forward(lattices):
         np.add(jump[t - 1], mask, out=skipped)
         np.logaddexp(into, skipped, out=into)
         alpha[t] += into
-    return [rows[: len(e), c : c + len(skip)]
-            for (e, skip), c in zip(lattices, starts)]
 
 
-def _log_marginal(alpha):
-    # an alignment ends in the last label or in the final blank
-    last = alpha[-1]
-    return np.logaddexp(last[-1], last[-2]) if len(last) > 1 else last[-1]
+def _group_pass(log_probs, label_seqs, occupancy=False):
+    """The log marginal of the lattice of every (T x V grid rows, labels)
+    pair, from one set-up and one recursion for them all; with
+    ``occupancy`` also every grid's state occupancy, raveled one grid after
+    another.
+
+    One index per (frame, state) of the row gathers the emissions from the
+    raveled grids; past a lattice's last frame, and on the pads, it points
+    to a -inf appended to them. Beta is alpha of the time- and
+    state-reversed lattice, reversed back: the reversed lattices follow the
+    forward ones in the row, state s of each in its state S-1-s, and skip
+    by the forward rule applied to the reversed states.
+    """
+    lattices, states, base, first = [], [], 0, 2
+    for u, (lp, labels) in enumerate(zip(log_probs, label_seqs)):
+        t, v = lp.shape
+        labels = _check_labels(t, v, labels)
+        s = 2 * len(labels) + 1
+        # two pads, then the interleaved states
+        row = [BLANK_ID] * (s + 2)
+        row[3::2] = labels
+        states += row
+        lattices.append((t, v, base, first, 2 * first + s - 1, u, s + 2))
+        base += t * v
+        first += s + 2
+    # for each column of the row, its lattice's T, V, grid offset, first
+    # state, state mirror sum and index
+    T, V, base, first, mirror, owner, span = np.array(lattices).T
+    cols = np.repeat((T, V, base, first, mirror, owner), span, axis=1)
+    width = cols.shape[1]
+    col = np.arange(width)
+    pos = col - cols[3]
+    live = pos >= 0
+    states = np.array(states)
+    frames = cols[0] * live
+    mirror = np.where(live, cols[4] - col, col)
+    t = np.arange(T.max())[:, None]
+    flat = np.concatenate([lp.ravel() for lp in log_probs] + [[NEG_INF]])
+    ahead = np.where(t < frames, cols[2] + states + t * cols[1], len(flat) - 1)
+    index = ahead
+    if occupancy:
+        # a frame past the end maps to a negative row, which wraps round to
+        # one past the end, where the index points to the -inf
+        back = (frames - 1 - t) * width + mirror
+        index = np.concatenate((ahead, ahead.ravel()[back]), axis=1)
+        states = np.concatenate((states, states[mirror]))
+        pos = np.concatenate((pos, pos))
+    rows = flat[index]
+    # a lattice starts in its first blank or its first label
+    rows[0, pos >= 2] = NEG_INF
+    mask = np.full(len(pos), NEG_INF)
+    mask[2:][(pos[2:] >= 2) & (states[2:] != states[:-2])] = 0.0
+    _forward(rows, mask)
+    # an alignment ends in the last label or in the final blank; with no
+    # label, the state before the final blank is a pad
+    end = first + span - 3
+    marginals = np.logaddexp(rows[T - 1, end], rows[T - 1, end - 1])
+    if not occupancy:
+        return marginals, None
+    # alpha and beta both include the frame-t emission; divide it out once,
+    # and 0 where there is none, whose -inf gamma lands past the grids
+    flat[-1] = 0.0
+    gamma = rows[:, :width] + rows[:, width:].ravel()[back]
+    gamma -= flat[ahead]
+    gamma -= marginals[cols[5]]
+    np.exp(gamma, out=gamma)
+    return marginals, np.bincount(ahead.ravel(), gamma.ravel(),
+                                  minlength=len(flat))[:-1]
 
 
 def ctc_loss(grid, labels):
@@ -164,10 +221,8 @@ def ctc_loss(grid, labels):
     labels = tuple(labels)
     if grid._lattice is not None and grid._lattice[0] == labels:
         return float(-grid._lattice[1])
-    labels = _check_labels(grid, labels)
-    states = _interleave(labels)
-    (alpha,) = _forward([(grid.log_probs[:, states], _skips(states))])
-    return float(-_log_marginal(alpha))
+    (marginal,), _ = _group_pass([grid.log_probs], [labels])
+    return float(-marginal)
 
 
 def ctc_grad(grid, labels):
@@ -186,33 +241,16 @@ def ctc_grad(grid, labels):
 
 def _lattice_pass(grids, label_seqs):
     """Alpha and beta of the lattice of every (grid, labels) pair in one
-    recursion; leaves on each grid its labels, log marginal and occupancy.
-
-    Beta is alpha of the time- and state-reversed lattice, reversed back.
-    The reversed lattice skips into its state i where the forward one skips
-    into S + 1 - i: its mask is the forward mask's tail reversed behind two
-    -inf, not the mask reversed.
-    """
-    labels = [_check_labels(g, ls) for g, ls in zip(grids, label_seqs)]
-    states = [_interleave(ls) for ls in labels]
-    lattices = []
-    for grid, st in zip(grids, states):
-        emit, skip = grid.log_probs[:, st], _skips(st)
-        back = np.full(len(st), NEG_INF)
-        back[2:] = skip[:1:-1]
-        lattices += [(emit, skip), (emit[::-1, ::-1], back)]
-    runs = _forward(lattices)
-    for u, (grid, ls, st) in enumerate(zip(grids, labels, states)):
-        alpha, beta = runs[2 * u], runs[2 * u + 1][::-1, ::-1]
-        marginal = _log_marginal(alpha)
-        # alpha and beta both include the frame-t emission; divide it out once
-        gamma = alpha + beta
-        gamma -= lattices[2 * u][0]
-        gamma -= marginal
-        np.exp(gamma, out=gamma)
-        occupancy = np.zeros(grid.log_probs.shape)
-        np.add.at(occupancy, (slice(None), st), gamma)
-        object.__setattr__(grid, "_lattice", (tuple(ls), marginal, occupancy))
+    group pass; leaves on each grid its labels, log marginal and
+    occupancy."""
+    label_seqs = [tuple(ls) for ls in label_seqs]
+    marginals, occupancy = _group_pass([g.log_probs for g in grids],
+                                       label_seqs, occupancy=True)
+    lo = 0
+    for grid, labels, marginal in zip(grids, label_seqs, marginals):
+        rows, lo = occupancy[lo : lo + grid.log_probs.size], lo + grid.log_probs.size
+        object.__setattr__(grid, "_lattice", (
+            labels, marginal, rows.reshape(grid.log_probs.shape)))
 
 
 DEFAULT_BEAM_WIDTH = 16

@@ -319,9 +319,11 @@ def run_experiment(world, config, base=None):
     has loaded it. A language code the world lacks, or no ``ft_language``
     and no unseen language to finetune on, raises ``WorldError``, and a
     checkpoint that cannot be loaded its error, before any work.
-    ``ConfigError`` names a field the world or the checkpoint rejects: an
-    ``encoder`` other than the finetuned checkpoint's, which it keeps
-    (before any work), or a ``bpe_vocab_size`` below the world's floor."""
+    ``ConfigError`` names a field the world or the checkpoint rejects: a
+    ``pretrained_path`` checkpoint whose ``input_dim`` is not the world's
+    ``feature_dim``, an ``encoder`` other than the finetuned checkpoint's,
+    which it keeps (both before any work), or a ``bpe_vocab_size`` below the
+    world's floor."""
     world.check_codes(
         list(config.languages) + ([config.ft_language] if config.ft_language else [])
     )
@@ -335,6 +337,11 @@ def run_experiment(world, config, base=None):
         world, encoder=config.encoder, lm_order=config.lm_order,
         beam=config.beam, acoustic_scale=config.acoustic_scale,
     )
+    if base is not None and base.config.input_dim != world.config.feature_dim:
+        raise ConfigError(
+            f"pretrained_path: {config.pretrained_path} has input_dim "
+            f"{base.config.input_dim}, but the world has "
+            f"{world.config.feature_dim}-dim features")
     if base is not None and config.encoder and pipe.encoder_config != base.config:
         raise ConfigError(
             f"encoder {config.encoder}: a finetune keeps the encoder of its "

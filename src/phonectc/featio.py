@@ -47,11 +47,23 @@ def read_arrays(path, what):
 
 
 def write_feature_set(path, matrices):
-    write_arrays(path, {
-        "frames": (np.concatenate(matrices, dtype=np.float32) if len(matrices)
-                   else np.zeros((0, 0), np.float32)),
-        "lengths": np.array([len(m) for m in matrices], dtype=np.uint32),
-    })
+    """Write the feature matrices ``matrices`` as a feature set: the
+    ``frames`` member streams in one utterance at a time, as the float32
+    rows an ``np.savez`` of their concatenation holds."""
+    mats = [np.asarray(m) for m in matrices]
+    dim = mats[0].shape[1] if mats else 0
+    if any(m.ndim != 2 or m.shape[1] != dim for m in mats):
+        raise ValueError(f"feature matrices must all be T x {dim}")
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float32)),
+              "fortran_order": False, "shape": (sum(map(len, mats)), dim)}
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        with archive.open("frames.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array_header_1_0(member, header)
+            for m in mats:
+                member.write(np.ascontiguousarray(m, dtype=np.float32))
+        with archive.open("lengths.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array(
+                member, np.array([len(m) for m in mats], dtype=np.uint32))
 
 
 def read_feature_set(path):

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import check_field_types
-from .ctc import (InfeasibleAlignmentError, PosteriorGrid, _lattice_pass,
-                  _softmax_grids, ctc_grad, ctc_loss, min_frames)
+from .ctc import (InfeasibleAlignmentError, PosteriorGrid, _check_labels,
+                  _group_pass, _lattice_pass, _softmax_grids, ctc_grad,
+                  ctc_loss, log_softmax, min_frames)
 from .featio import read_arrays, write_arrays
 from .inventory import Alphabet
 
@@ -213,8 +214,7 @@ def _encode(ckpt, xs, masks=None):
     return h, caches
 
 
-def forward(ckpt, features):
-    """Posterior grid from a feature matrix (inference path, no dropout)."""
+def _features(ckpt, features):
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != ckpt.config.input_dim:
         raise ValueError(
@@ -222,12 +222,22 @@ def forward(ckpt, features):
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite feature values")
+    return x
+
+
+def _logits(ckpt, x):
+    """Output logits of the checked feature matrix ``x`` (no dropout)."""
     h, _ = _encode(ckpt, [x])
     logits = h @ ckpt.params["out.w"].T
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits")
-    log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
-    return PosteriorGrid(log_probs=log_probs, alphabet=ckpt.alphabet)
+    return logits
+
+
+def forward(ckpt, features):
+    """Posterior grid from a feature matrix (inference path, no dropout)."""
+    logits = _logits(ckpt, _features(ckpt, features))
+    return PosteriorGrid(log_probs=log_softmax(logits), alphabet=ckpt.alphabet)
 
 
 def _groups(batch, frames, width):
@@ -311,20 +321,37 @@ def _block_backward(p, dh, name, block_cache, ln_cache, grads):
 
 
 def evaluate_loss(ckpt, corpus):
-    """Mean frame-normalized CTC loss over a corpus (no dropout)."""
-    total = 0.0
-    n = 0
+    """Mean frame-normalized CTC loss over a corpus (no dropout).
+
+    The utterances CTC can align run as ``_groups``, each through one
+    log-softmax and one alpha-only lattice pass; an utterance it cannot
+    align is skipped. Each utterance still encodes alone, as in ``forward``:
+    BLAS may round a stacked product otherwise. So each loss has the bits
+    that ``forward`` and then ``ctc_loss`` give it, and the losses are
+    summed in corpus order. The errors are theirs too, save that a feature
+    or label error anywhere comes before any non-finite logits.
+    """
+    xs, label_seqs, frames = [], [], []
     for x, labels in corpus:
-        x = np.asarray(x, dtype=np.float64)
-        grid = forward(ckpt, x)
+        x = _features(ckpt, x)
+        t = subsampled_length(len(x), ckpt.config.subsample_stride)
         try:
-            total += ctc_loss(grid, labels) / grid.num_frames
+            label_seqs.append(_check_labels(t, len(ckpt.alphabet), labels))
         except InfeasibleAlignmentError:
             continue
-        n += 1
-    if n == 0:
+        xs.append(x)
+        frames.append(t)
+    if not xs:
         raise ValueError("no feasible utterance in corpus")
-    return total / n
+    total = 0.0
+    for group in _groups(range(len(xs)), frames, 4 * ckpt.config.hidden_dim):
+        logits = np.concatenate([_logits(ckpt, xs[i]) for i in group])
+        grids = _softmax_grids(logits, [frames[i] for i in group])
+        marginals, _ = _group_pass([g.log_probs for g in grids],
+                                   [label_seqs[i] for i in group])
+        for i, marginal in zip(group, marginals):
+            total += float(-marginal) / frames[i]
+    return total / len(xs)
 
 
 def train(ckpt, corpus, schedule, seed, val_corpus=None):
@@ -333,7 +360,9 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     A minibatch runs as groups of consecutive utterances that GROUP_ELEMENTS
     bounds: one encoder pass, lattice pass and backprop per group over its
     stacked rows, so parameters differ in the last bits from a step per
-    utterance, whose products BLAS rounds otherwise.
+    utterance, whose products BLAS rounds otherwise. Each epoch's
+    validation loss is ``evaluate_loss``, whose groups share the bound but
+    encode each utterance alone.
 
     Warmup is ``schedule.warmup_steps(len(corpus))``, CTC-infeasible
     utterances counted, and the step count goes on from the checkpoint's

@@ -10,8 +10,10 @@ its decoder as the exact reference for the library's decoder, which
 applies T on the fly, the per-phone feature synthesis loop as the exact
 reference for the world generator's, and the per-utterance two-pass
 training step (encoder, loss, then gradient and backprop) as the reference
-for the group step. The n-gram conditional distribution and the lexicon
-lookup are oracles only the tests use.
+for the group step, and the per-utterance validation loop (``forward`` then
+``ctc_loss``) as the reference for grouped validation. The n-gram
+conditional distribution and the lexicon lookup are oracles only the tests
+use.
 """
 
 from functools import lru_cache
@@ -20,14 +22,15 @@ import numpy as np
 from hypothesis import strategies as st
 
 from phonectc import BLANK
-from phonectc.ctc import BLANK_ID, NEG_INF, PosteriorGrid, ctc_grad, ctc_loss
+from phonectc.ctc import (BLANK_ID, NEG_INF, InfeasibleAlignmentError,
+                          PosteriorGrid, ctc_grad, ctc_loss, log_softmax)
 from phonectc.decodegraph import (
     DEFAULT_BEAM,
     DecodeFailureError,
     build_lexicon_fst,
 )
 from phonectc.fst import Fst, SymbolTable, compose
-from phonectc.model import (_layernorm_backward, _layernorm_forward,
+from phonectc.model import (_layernorm_backward, _layernorm_forward, forward,
                             subsampled_length)
 from phonectc.ngram import BOS, UNK, NGramError, _score
 
@@ -214,11 +217,26 @@ def loss_and_grads_reference(ckpt, x, labels, dropout_rng=None):
     ``ctc_grad`` on the grid and backprop."""
     h, caches = _encode_reference(ckpt, x, dropout_rng=dropout_rng)
     logits = h @ ckpt.params["out.w"].T
-    log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
-    grid = PosteriorGrid(log_probs=log_probs, alphabet=ckpt.alphabet)
+    grid = PosteriorGrid(log_probs=log_softmax(logits), alphabet=ckpt.alphabet)
     loss = ctc_loss(grid, labels) / grid.num_frames
     dlogits = ctc_grad(grid, labels) / grid.num_frames
     return loss, _backward_reference(ckpt, h, caches, dlogits)
+
+
+def evaluate_loss_reference(ckpt, corpus):
+    """Mean frame-normalized CTC loss, one utterance at a time: ``forward``,
+    then ``ctc_loss`` on its grid, skipping an utterance CTC cannot align."""
+    total, n = 0.0, 0
+    for x, labels in corpus:
+        grid = forward(ckpt, np.asarray(x, dtype=np.float64))
+        try:
+            total += ctc_loss(grid, labels) / grid.num_frames
+        except InfeasibleAlignmentError:
+            continue
+        n += 1
+    if n == 0:
+        raise ValueError("no feasible utterance in corpus")
+    return total / n
 
 
 def prefix_beam_search_reference(grid, beam_width=16):

@@ -663,6 +663,9 @@ def infeasible_world(tmp_path_factory):
     (["finetune", "--world", "{world}", "--pretrained", "{subword_ckpt}",
       "--language", "u1", "-o", "{out}"],
      "--pretrained {subword_ckpt}: a subword checkpoint"),
+    (["finetune", "--world", "{world}", "--pretrained", "{good}",
+      "--language", "u1", "--utterances", "5", "-o", "{out}"],
+     "--pretrained {good}: input_dim 4"),
     (["lexicon", "--g2p", "{g2p}", "--words", "{unspellable}", "-o", "{out}"],
      "{unspellable}"),
     (["train", "--world", "{infeasible}", "--language", "s1", "-o", "{out}"],
@@ -674,7 +677,8 @@ def infeasible_world(tmp_path_factory):
       "-o", "{out}"], "{infeasible}: every utterance is CTC-infeasible"),
 ], ids=["lm-train-order", "g2p-nbest", "lexicon-nbest", "tokenizer-train-seed",
         "world-gen-seed", "train-seed", "finetune-seed", "finetune-utterances",
-        "finetune-subword-checkpoint", "lexicon-no-pronounceable-word", "train-infeasible-world",
+        "finetune-subword-checkpoint", "finetune-narrow-checkpoint",
+        "lexicon-no-pronounceable-word", "train-infeasible-world",
         "finetune-infeasible-world", "experiment-run-infeasible-world"])
 def test_rejected_value_is_a_one_line_error(runner, world_dir, damaged_files,
                                             text_files, output_inputs,
@@ -799,7 +803,8 @@ def test_train_names_the_flag_that_sets_a_vocabulary_too_small(
 
 # experiment configs that set what the run would otherwise drop: an encoder
 # other than the finetuned checkpoint's, a WARD with no pretrained model, an
-# input width other than the world's; each error names the field
+# input width other than the world's, a checkpoint that reads features of
+# another width; each error names the field
 @pytest.mark.parametrize("text, field", [
     ("mode: crosslingual_ft\nft_language: u1\npretrained_path: {ckpt}\n"
      "encoder: {{hidden_dim: 32}}\n", "encoder"),
@@ -807,8 +812,10 @@ def test_train_names_the_flag_that_sets_a_vocabulary_too_small(
      "forgetting_eval"),
     ("mode: monolingual\nforgetting_eval: true\n", "forgetting_eval"),
     ("mode: monolingual\nencoder: {{input_dim: 80}}\n", "input_dim"),
+    ("mode: crosslingual_ft\nft_language: u1\npretrained_path: {narrow}\n",
+     "pretrained_path"),
 ], ids=["finetune-encoder", "scratch-forgetting", "monolingual-forgetting",
-        "input-dim"])
+        "input-dim", "narrow-checkpoint"])
 def test_experiment_setting_the_run_would_drop_is_a_one_line_error(
         runner, world_dir, tmp_path, text, field):
     from phonectc.inventory import make_alphabet
@@ -817,8 +824,11 @@ def test_experiment_setting_the_run_would_drop_is_a_one_line_error(
     ckpt = tmp_path / "base.ckpt"
     save_checkpoint(init_checkpoint(EncoderConfig(), make_alphabet({"a", "b"})),
                     ckpt)
+    narrow = tmp_path / "narrow.ckpt"
+    save_checkpoint(init_checkpoint(EncoderConfig(input_dim=4),
+                                    make_alphabet({"a", "b"})), narrow)
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text(text.format(ckpt=ckpt))
+    cfg.write_text(text.format(ckpt=ckpt, narrow=narrow))
     out = tmp_path / "out"
     result = runner.invoke(main, ["experiment", "run", "--world", world_dir,
                                   "--config", str(cfg), "-o", str(out)])
@@ -828,4 +838,6 @@ def test_experiment_setting_the_run_would_drop_is_a_one_line_error(
     assert last.startswith(f"Error: {cfg}: ") and field in last, last
     if field == "encoder":
         assert str(ckpt) in last
+    if field == "pretrained_path":
+        assert str(narrow) in last and "input_dim 4" in last
     assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from phonectc.ctc import (
     _softmax_grids,
     ctc_grad,
     ctc_loss,
+    log_softmax,
     min_frames,
     prefix_beam_search,
 )
@@ -87,18 +89,66 @@ def test_unchecked_training_grid_passes_the_check(data):
     PosteriorGrid(log_probs=grid.log_probs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_log_softmax_matches_logaddexp_reduce(data):
+    """The max-shift form agrees with log-add-exp to within 1e-13 of each
+    row's magnitude: ties at the maximum and at both ends, one -inf entry,
+    magnitudes up to 1e300, for any of which a grid is trusted."""
+    n = data.draw(st.integers(1, 100), label="n")
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0, 1e6, 2.0**30, 1e12,
+                                       1e300]), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    logits = scale * rng.normal(size=(5, n))
+    logits[1] = logits[1, 0]  # an n-way tie
+    logits[2, : n // 2] = logits[2].max()
+    logits[3] = scale * rng.choice([-1.0, 0.0, 1.0], size=n)
+    if n > 1:
+        logits[4, rng.integers(n)] = -np.inf
+    got = log_softmax(logits)
+    want = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[~finite], want[~finite])
+    size = np.abs(np.where(np.isfinite(logits), logits, 0.0)).max(axis=1)
+    bound = np.broadcast_to(1e-13 * np.maximum(1.0, size)[:, None], got.shape)
+    assert np.all(np.abs(got[finite] - want[finite]) <= bound[finite])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_trusted_grid_of_any_finite_magnitude_passes_the_check(data):
+    """Finite logits of any magnitude give unchecked rows that sum to 1 in
+    extended precision, and that PosteriorGrid accepts: ties at the maximum
+    and at both ends, up to 2000 labels."""
+    n = data.draw(st.integers(1, 2000), label="n")
+    scale = data.draw(st.sampled_from([1.0, 1e3, 2.0**30, 1e12, 1e300]),
+                      label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    logits = scale * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(4, n))
+    logits[0] = scale
+    logits[1, : n // 2] = -scale
+    logits[3] = scale * rng.normal(size=n)
+    with mock.patch.object(PosteriorGrid, "__post_init__",
+                           side_effect=AssertionError("checked")):
+        grid = _softmax_grid(logits)
+    sums = np.log(np.exp(grid.log_probs.astype(np.longdouble)).sum(axis=1))
+    assert np.abs(sums).max() <= 1e-6
+    PosteriorGrid(log_probs=grid.log_probs)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize(
     "row, accepted",
     [([np.nan, 0.0, 0.0], False), ([np.inf, 0.0, 0.0], False),
-     ([-np.inf] * 3, False), ([1e12, 1e12, 1e12], False),
+     ([-np.inf] * 3, False), ([1e12, 1e12, 1e12], True),
      ([-np.inf, 0.0, 1.0], True), ([1e6, 0.0, -1e6], True)],
     ids=["nan", "plus-inf", "all-minus-inf", "huge-tie", "one-minus-inf",
          "large"],
 )
 def test_training_grid_raises_where_the_checked_grid_does(row, accepted):
     logits = np.array([[0.5, -1.0, 2.0], row])
-    lp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    lp = log_softmax(logits)
     if accepted:
         got = _softmax_grid(logits, alphabet="A")
         want = PosteriorGrid(log_probs=lp, alphabet="A")
@@ -182,7 +232,7 @@ def test_group_lattice_pass_equals_lone_passes(data):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_softmax_grids_split_rows_and_check_every_run_when_untrusted():
     logits = np.random.default_rng(16).normal(size=(5, 3))
-    lp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    lp = log_softmax(logits)
     grids = _softmax_grids(logits, [2, 0, 3], alphabet="A")
     assert [g.num_frames for g in grids] == [2, 0, 3]
     assert np.array_equal(np.concatenate([g.log_probs for g in grids]), lp)

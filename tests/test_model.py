@@ -20,6 +20,7 @@ from phonectc.model import (
     TrainSchedule,
     _group_step,
     _groups,
+    evaluate_loss,
     export_embeddings,
     forward,
     init_checkpoint,
@@ -228,6 +229,72 @@ def test_groups_are_consecutive_runs_within_the_budget(monkeypatch, frames,
     monkeypatch.setattr(model, "GROUP_ELEMENTS", 4096)
     assert _groups(range(len(frames)), frames, width) == want
     assert _groups([2, 0], [7, 9, 200], 20) == [[2], [0]]
+
+
+def infeasible_labels(frames):
+    """Alternating labels one longer than ``frames`` frames can align."""
+    return [1 + i % 2 for i in range(frames + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_loss_equals_per_utterance_reference(data):
+    """Grouped validation gives the bits of ``forward`` then ``ctc_loss`` one
+    utterance at a time: mixed lengths, repeated labels, infeasible
+    utterances skipped, groups on both sides of the element budget, and an
+    all-infeasible corpus, which both reject."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    config = EncoderConfig(input_dim=4,
+                           hidden_dim=data.draw(st.sampled_from([6, 16, 32])),
+                           num_blocks=data.draw(st.integers(1, 2)))
+    ckpt = init_checkpoint(config, ALPHABET, seed=int(rng.integers(100)))
+    infeasible = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="infeasible")
+    corpus = []
+    for _ in range(data.draw(st.integers(1, 12), label="utterances")):
+        T = int(rng.integers(1, 40 if rng.random() < 0.8 else 400))
+        frames = subsampled_length(T, config.subsample_stride)
+        labels = (infeasible_labels(frames) if rng.random() < infeasible
+                  else random_labels(rng, frames, repeats=True))
+        corpus.append((rng.normal(0.0, rng.choice([1.0, 30.0]), (T, 4)), labels))
+    try:
+        want = support.evaluate_loss_reference(ckpt, corpus)
+    except ValueError as err:
+        assert infeasible > 0 and "no feasible utterance" in str(err)
+        with pytest.raises(ValueError, match="no feasible utterance"):
+            evaluate_loss(ckpt, corpus)
+        return
+    assert evaluate_loss(ckpt, corpus) == want
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("damage, error", [
+    ("width", ValueError), ("nan-feature", ValueError),
+    ("non-finite-logits", FloatingPointError), ("blank-label", ValueError),
+    ("label-outside", IndexError),
+])
+def test_evaluate_loss_raises_what_the_per_utterance_loop_raises(damage,
+                                                                 error):
+    """Each error the per-utterance loop raised, with its message."""
+    ckpt = small_ckpt()
+    corpus = make_corpus(np.random.default_rng(11), ALPHABET, n=6)
+    x, labels = corpus[3]
+    if damage == "width":
+        x = x[:, :3]
+    elif damage == "nan-feature":
+        x = x.copy()
+        x[2, 1] = np.nan
+    elif damage == "blank-label":
+        labels = [1, 0]
+    elif damage == "label-outside":
+        labels = [1, len(ALPHABET)]
+    elif damage == "non-finite-logits":
+        ckpt.params["out.w"][1, 0] = np.inf
+    corpus[3] = (x, labels)
+    with pytest.raises(error) as want:
+        support.evaluate_loss_reference(ckpt, corpus)
+    with pytest.raises(error, match=re.escape(str(want.value))):
+        evaluate_loss(ckpt, corpus)
 
 
 def test_tracer_counts_one_grad_and_one_loss_per_utterance_step(monkeypatch):

@@ -1,5 +1,7 @@
+import io
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -74,6 +76,34 @@ def test_damaged_feature_file_names_path(tmp_path_factory, feature_files, data):
 def test_empty_feature_set_roundtrip(tmp_path):
     write_feature_set(tmp_path / "e.bin", [])
     assert read_feature_set(tmp_path / "e.bin") == []
+
+
+@pytest.mark.parametrize("lengths", [(3, 9, 0, 1), (5,), (0,), ()],
+                         ids=["mixed", "one", "zero-rows", "empty"])
+def test_streamed_feature_set_holds_what_savez_wrote(tmp_path, lengths):
+    """The writer streams frames one utterance at a time into the members
+    an ``np.savez`` of their concatenation holds, which read back equal."""
+    rng = np.random.default_rng(3)
+    mats = [rng.normal(size=(t, 4)) for t in lengths]
+    path = tmp_path / "s.bin"
+    write_feature_set(path, mats)
+    back = read_feature_set(path)
+    assert len(back) == len(mats)
+    for m, b in zip(mats, back):
+        assert np.array_equal(b, m.astype(np.float32).astype(np.float64))
+    want = io.BytesIO()
+    np.savez(want, frames=(np.concatenate(mats, dtype=np.float32) if mats
+                           else np.zeros((0, 0), np.float32)),
+             lengths=np.array(lengths, dtype=np.uint32))
+    with zipfile.ZipFile(path) as got, zipfile.ZipFile(want) as ref:
+        assert got.namelist() == ref.namelist()
+        for name in ref.namelist():
+            assert got.read(name) == ref.read(name), name
+
+
+def test_feature_set_of_mixed_widths_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="T x 4"):
+        write_feature_set(tmp_path / "s.bin", [np.zeros((2, 4)), np.zeros((2, 3))])
 
 
 def test_feature_lengths_must_sum_to_frames(tmp_path):
