@@ -26,8 +26,10 @@ from .inventory import Alphabet
 FORMAT = 2  # checkpoint layout number in the header; the PCTC files were 1
 LN_EPS = 1e-5
 # Most rows x 4 hidden_dim elements a training group's block activations
-# hold; an utterance over it is a group alone. Groups bound peak memory.
-GROUP_ELEMENTS = 4096
+# hold; an utterance over it is a group alone. Groups bound peak memory:
+# here a desk minibatch is one or two groups, for under 3% more peak RSS
+# than at 4096 (BENCH_24.json's budget curve, 4096 to 32768).
+GROUP_ELEMENTS = 16384
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,6 @@ class ModelCheckpoint:
     @property
     def embedding_matrix(self):
         return self.params["out.w"]
-
-    def clone(self):
-        return ModelCheckpoint(
-            config=self.config,
-            alphabet=self.alphabet,
-            params={k: v.copy() for k, v in self.params.items()},
-            metadata=copy.deepcopy(self.metadata),
-        )
 
 
 def _param_shapes(config, num_units):
@@ -358,11 +352,13 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     """Adam + Noam-schedule training with early stop and top-k averaging.
 
     A minibatch runs as groups of consecutive utterances that GROUP_ELEMENTS
-    bounds: one encoder pass, lattice pass and backprop per group over its
-    stacked rows, so parameters differ in the last bits from a step per
-    utterance, whose products BLAS rounds otherwise. Each epoch's
-    validation loss is ``evaluate_loss``, whose groups share the bound but
-    encode each utterance alone.
+    bounds, one or two for a desk minibatch: one encoder pass, lattice pass
+    and backprop per group over its stacked rows, so parameters differ in
+    the last bits from a step per utterance, whose products BLAS rounds
+    otherwise. The parameters, Adam's moments and the gradient sum are rows
+    of one flat buffer, and ``_adam_step`` updates them in one pass. Each
+    epoch's validation loss is ``evaluate_loss``, whose groups share the
+    bound but encode each utterance alone.
 
     Warmup is ``schedule.warmup_steps(len(corpus))``, CTC-infeasible
     utterances counted, and the step count goes on from the checkpoint's
@@ -376,7 +372,6 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
         raise ValueError("empty training corpus")
     if val_corpus is None:
         val_corpus = corpus
-    ckpt = ckpt.clone()
     cfg = ckpt.config
     rng = np.random.default_rng(seed)
     dropout_rng = np.random.default_rng(rng.integers(2**63))
@@ -394,18 +389,22 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     if not usable:
         raise ValueError("every utterance is CTC-infeasible")
 
-    m = {k: np.zeros_like(v) for k, v in ckpt.params.items()}
-    v = {k: np.zeros_like(p) for k, p in ckpt.params.items()}
+    shapes = {k: p.shape for k, p in ckpt.params.items()}
+    # rows: parameters, Adam's two moments, the minibatch gradient, and the
+    # two work rows of _adam_step
+    state = np.zeros((6, sum(p.size for p in ckpt.params.values())))
+    np.concatenate([p.ravel() for p in ckpt.params.values()], out=state[0])
+    live = ModelCheckpoint(cfg, ckpt.alphabet, _views(state[0], shapes))
+    acc = _views(state[3], shapes)
     step = int(ckpt.metadata.get("step", 0))
     warmup = schedule.warmup_steps(len(corpus))
-    b1, b2, eps = schedule.adam_beta1, schedule.adam_beta2, schedule.adam_eps
 
     history = {
         "epochs": [],
         "skipped_infeasible": skipped,
         "epochs_to_converge": None,
     }
-    best = []  # list of (val_loss, epoch, params snapshot)
+    best = []  # list of (val_loss, epoch, flat parameter snapshot)
     best_val = math.inf
     bad_epochs = 0
     order = np.arange(len(usable))
@@ -415,36 +414,25 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
         nutts = 0
         for lo in range(0, len(order), schedule.batch_size):
             batch = order[lo : lo + schedule.batch_size]
-            acc = None
-            for group in _groups(batch, frames, 4 * cfg.hidden_dim):
-                losses, grads = _group_step(ckpt, [usable[i] for i in group],
+            for j, group in enumerate(_groups(batch, frames, 4 * cfg.hidden_dim)):
+                losses, grads = _group_step(live, [usable[i] for i in group],
                                             dropout_rng=dropout_rng)
                 epoch_loss = sum(losses, epoch_loss)
                 nutts += len(losses)
-                if acc is None:
-                    acc = grads
-                    continue
-                for k in acc:
-                    acc[k] += grads[k]
+                for k, g in acc.items():
+                    if j:
+                        g += grads[k]
+                    else:
+                        g[...] = grads[k]
             step += 1
-            lr = schedule.learning_rate(step, warmup)
-            scale = 1.0 / len(batch)
-            for k, p in ckpt.params.items():
-                g = acc[k]
-                g *= scale
-                m[k] *= b1
-                m[k] += (1 - b1) * g
-                v[k] *= b2
-                v[k] += (1 - b2) * g * g
-                mhat = m[k] / (1 - b1**step)
-                vhat = v[k] / (1 - b2**step)
-                p -= lr * mhat / (np.sqrt(vhat) + eps)
+            _adam_step(state, 1.0 / len(batch),
+                       schedule.learning_rate(step, warmup), step, schedule)
         train_loss = epoch_loss / max(1, nutts)
-        val_loss = evaluate_loss(ckpt, val_corpus)
+        val_loss = evaluate_loss(live, val_corpus)
         history["epochs"].append(
             {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
         )
-        best.append((val_loss, epoch, {k: p.copy() for k, p in ckpt.params.items()}))
+        best.append((val_loss, epoch, state[0].copy()))
         best.sort(key=lambda e: (e[0], e[1]))
         best = best[: schedule.avg_top_k]
         if val_loss < best_val - 1e-12:
@@ -455,17 +443,45 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
             if bad_epochs >= schedule.early_stop_patience:
                 break
     history["epochs_to_converge"] = min(best, key=lambda e: (e[0], e[1]))[1]
-    averaged = {
-        k: np.mean([snap[k] for _, _, snap in best], axis=0)
-        for k in ckpt.params
-    }
+    snaps = [_views(snap, shapes) for _, _, snap in best]
     final = ModelCheckpoint(
         config=cfg,
         alphabet=ckpt.alphabet,
-        params=averaged,
-        metadata={**ckpt.metadata, "seed": seed, "step": step},
+        params={k: np.mean([s[k] for s in snaps], axis=0) for k in shapes},
+        metadata={**copy.deepcopy(ckpt.metadata), "seed": seed, "step": step},
     )
     return final, history
+
+
+def _views(row, shapes):
+    """Views of the flat ``row``, one per name of ``shapes``, end to end."""
+    views, lo = {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        views[name] = row[lo : lo + n].reshape(shape)
+        lo += n
+    return views
+
+
+def _adam_step(state, scale, lr, step, schedule):
+    """One Adam update, in place, of ``train``'s flat ``state``: parameters,
+    first and second moments, the gradient sum, which it scales by
+    ``scale``, and two work rows, so it allocates nothing. Each element
+    sees a per-tensor update's operations in the same order."""
+    p, m, v, g, a, b = state
+    b1, b2 = schedule.adam_beta1, schedule.adam_beta2
+    g *= scale
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=a)
+    v *= b2
+    np.multiply(g, 1 - b2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(m, 1 - b1**step, out=a)  # mhat
+    np.divide(v, 1 - b2**step, out=b)  # vhat
+    np.sqrt(b, out=b)
+    b += schedule.adam_eps
+    a *= lr
+    p -= np.divide(a, b, out=a)
 
 
 def transfer_init(pretrained, target_alphabet, mode, seed):

@@ -10,12 +10,16 @@ its decoder as the exact reference for the library's decoder, which
 applies T on the fly, the per-phone feature synthesis loop as the exact
 reference for the world generator's, and the per-utterance two-pass
 training step (encoder, loss, then gradient and backprop) as the reference
-for the group step, and the per-utterance validation loop (``forward`` then
-``ctc_loss``) as the reference for grouped validation. The n-gram
+for the group step, the per-utterance validation loop (``forward`` then
+``ctc_loss``) as the reference for grouped validation, and the training
+loop over those two-pass steps with a per-tensor Adam update as the
+reference for ``train``. The n-gram
 conditional distribution and the lexicon lookup are oracles only the tests
 use.
 """
 
+import copy
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -23,15 +27,16 @@ from hypothesis import strategies as st
 
 from phonectc import BLANK
 from phonectc.ctc import (BLANK_ID, NEG_INF, InfeasibleAlignmentError,
-                          PosteriorGrid, ctc_grad, ctc_loss, log_softmax)
+                          PosteriorGrid, ctc_grad, ctc_loss, log_softmax,
+                          min_frames)
 from phonectc.decodegraph import (
     DEFAULT_BEAM,
     DecodeFailureError,
     build_lexicon_fst,
 )
 from phonectc.fst import Fst, SymbolTable, compose
-from phonectc.model import (_layernorm_backward, _layernorm_forward, forward,
-                            subsampled_length)
+from phonectc.model import (ModelCheckpoint, _layernorm_backward,
+                            _layernorm_forward, forward, subsampled_length)
 from phonectc.ngram import BOS, UNK, NGramError, _score
 
 
@@ -237,6 +242,89 @@ def evaluate_loss_reference(ckpt, corpus):
     if n == 0:
         raise ValueError("no feasible utterance in corpus")
     return total / n
+
+
+def adam_reference(params, m, v, acc, scale, lr, step, schedule):
+    """The per-tensor Adam update, in place, of the ``params`` dict from the
+    gradient sums ``acc`` times ``scale``, and of the moments ``m`` and
+    ``v``."""
+    b1, b2, eps = schedule.adam_beta1, schedule.adam_beta2, schedule.adam_eps
+    for k, p in params.items():
+        g = acc[k]
+        g *= scale
+        m[k] *= b1
+        m[k] += (1 - b1) * g
+        v[k] *= b2
+        v[k] += (1 - b2) * g * g
+        mhat = m[k] / (1 - b1**step)
+        vhat = v[k] / (1 - b2**step)
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def train_reference(ckpt, corpus, schedule, seed, val_corpus=None):
+    """``model.train`` step by step: a two-pass step per utterance, their
+    gradients summed in minibatch order, a per-tensor Adam update, and the
+    per-utterance validation loop; the bias correction counts from the
+    checkpoint's ``step``, as ``train`` does."""
+    if val_corpus is None:
+        val_corpus = corpus
+    cfg = ckpt.config
+    ckpt = ModelCheckpoint(cfg, ckpt.alphabet,
+                           {k: p.copy() for k, p in ckpt.params.items()},
+                           copy.deepcopy(ckpt.metadata))
+    rng = np.random.default_rng(seed)
+    dropout_rng = np.random.default_rng(rng.integers(2**63))
+    usable = []
+    for x, labels in corpus:
+        x = np.asarray(x, dtype=np.float64)
+        if subsampled_length(len(x), cfg.subsample_stride) >= min_frames(labels):
+            usable.append((x, list(labels)))
+    m = {k: np.zeros_like(p) for k, p in ckpt.params.items()}
+    v = {k: np.zeros_like(p) for k, p in ckpt.params.items()}
+    step = int(ckpt.metadata.get("step", 0))
+    warmup = schedule.warmup_steps(len(corpus))
+    history = {"epochs": [], "skipped_infeasible": len(corpus) - len(usable),
+               "epochs_to_converge": None}
+    best, best_val, bad_epochs = [], math.inf, 0
+    order = np.arange(len(usable))
+    for epoch in range(1, schedule.max_epochs + 1):
+        rng.shuffle(order)
+        epoch_loss, nutts = 0.0, 0
+        for lo in range(0, len(order), schedule.batch_size):
+            batch = order[lo : lo + schedule.batch_size]
+            acc = None
+            for i in batch:
+                loss, grads = loss_and_grads_reference(ckpt, *usable[i],
+                                                       dropout_rng)
+                epoch_loss += loss
+                nutts += 1
+                if acc is None:
+                    acc = grads
+                    continue
+                for k in acc:
+                    acc[k] += grads[k]
+            step += 1
+            adam_reference(ckpt.params, m, v, acc, 1.0 / len(batch),
+                           schedule.learning_rate(step, warmup), step, schedule)
+        val_loss = evaluate_loss_reference(ckpt, val_corpus)
+        history["epochs"].append({"epoch": epoch,
+                                  "train_loss": epoch_loss / max(1, nutts),
+                                  "val_loss": val_loss})
+        best.append((val_loss, epoch,
+                     {k: p.copy() for k, p in ckpt.params.items()}))
+        best.sort(key=lambda e: (e[0], e[1]))
+        best = best[: schedule.avg_top_k]
+        if val_loss < best_val - 1e-12:
+            best_val, bad_epochs = val_loss, 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= schedule.early_stop_patience:
+                break
+    history["epochs_to_converge"] = min(best, key=lambda e: (e[0], e[1]))[1]
+    averaged = {k: np.mean([snap[k] for _, _, snap in best], axis=0)
+                for k in ckpt.params}
+    return ModelCheckpoint(cfg, ckpt.alphabet, averaged,
+                           {**ckpt.metadata, "seed": seed, "step": step}), history
 
 
 def prefix_beam_search_reference(grid, beam_width=16):

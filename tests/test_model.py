@@ -231,6 +231,14 @@ def test_groups_are_consecutive_runs_within_the_budget(monkeypatch, frames,
     assert _groups([2, 0], [7, 9, 200], 20) == [[2], [0]]
 
 
+def test_a_desk_minibatch_is_at_most_two_groups():
+    """At the real budget, 16 utterances of 18 frames at width 64, a desk
+    minibatch, make at most two groups of consecutive utterances."""
+    groups = _groups(range(16), [18] * 16, 64)
+    assert len(groups) <= 2
+    assert [i for g in groups for i in g] == list(range(16))
+
+
 def infeasible_labels(frames):
     """Alternating labels one longer than ``frames`` frames can align."""
     return [1 + i % 2 for i in range(frames + 1)]
@@ -369,6 +377,86 @@ def test_early_stopping_and_convergence_epoch():
     _, history = train(small_ckpt(), corpus, schedule, seed=0)
     assert len(history["epochs"]) <= 100
     assert 1 <= history["epochs_to_converge"] <= len(history["epochs"])
+
+
+@pytest.mark.parametrize("case", ["fresh", "step287", "early-stop",
+                                  "dropout", "top-1"])
+def test_train_equals_per_utterance_reference(monkeypatch, case):
+    """With every utterance a group alone, ``train`` gives the parameters
+    and history of two-pass steps summed in minibatch order and a
+    per-tensor Adam update: a fresh checkpoint, one at step 287 (whose bias
+    correction counts from there), an early stop, dropout in two blocks,
+    and top-1 as well as top-3 averaging."""
+    monkeypatch.setattr(model, "GROUP_ELEMENTS", 1)
+    rng = np.random.default_rng(12)
+    corpus = make_corpus(rng, ALPHABET, n=9)
+    corpus.append((rng.normal(size=(2, 4)), [1, 2, 3, 1]))  # infeasible
+    corpus.append((rng.normal(size=(31, 4)), [3, 1, 1, 2]))
+    val = make_corpus(rng, ALPHABET, n=4, T=9)
+    config, kw = SMALL, {}
+    if case == "dropout":
+        config = EncoderConfig(input_dim=4, hidden_dim=6, num_blocks=2,
+                               dropout=0.3)
+    elif case == "early-stop":
+        kw = {"peak_lr": 0.5, "early_stop_patience": 1}
+    elif case == "top-1":
+        kw = {"avg_top_k": 1}
+    schedule = TrainSchedule(**{"peak_lr": 3e-2, "batch_size": 4,
+                                "max_epochs": 5, **kw})
+    ckpt = init_checkpoint(config, ALPHABET, seed=4)
+    if case == "step287":
+        ckpt.metadata["step"] = 287
+    got, got_history = train(ckpt, corpus, schedule, seed=3, val_corpus=val)
+    want, want_history = support.train_reference(ckpt, corpus, schedule,
+                                                 seed=3, val_corpus=val)
+    assert got_history == want_history
+    assert same_checkpoint(got, want)
+    assert got.metadata["step"] == ckpt.metadata["step"] + 3 * len(
+        got_history["epochs"])
+    if case == "early-stop":
+        assert len(got_history["epochs"]) < schedule.max_epochs
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_adam_step_equals_per_tensor_update(data):
+    """One pass over the flat buffer gives every tensor the bits of the
+    per-tensor update, at steps 1, 2 and 287."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shapes = {f"t{i}": tuple(data.draw(st.lists(st.integers(1, 5),
+                                                min_size=1, max_size=3)))
+              for i in range(data.draw(st.integers(1, 4)))}
+    schedule = TrainSchedule(adam_beta1=data.draw(st.sampled_from([0.9, 0.5])))
+    state = np.zeros((6, sum(math.prod(s) for s in shapes.values())))
+    # parameters, moments (the second never negative) and gradient sums
+    want = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in "pmva"]
+    want[2] = {k: np.abs(t) for k, t in want[2].items()}
+    for row, tensors in zip(state, want):
+        row[:] = np.concatenate([t.ravel() for t in tensors.values()])
+    scale = data.draw(st.sampled_from([1.0, 1 / 3, 1 / 16]))
+    lr = data.draw(st.floats(1e-6, 1.0))
+    step = data.draw(st.sampled_from([1, 2, 287]))
+    model._adam_step(state, scale, lr, step, schedule)
+    support.adam_reference(*want, scale, lr, step, schedule)
+    for row, tensors in zip(state, want):
+        flat = np.concatenate([t.ravel() for t in tensors.values()])
+        assert flat.tobytes() == row.tobytes()
+
+
+def test_trained_checkpoint_owns_its_memory(tmp_path):
+    """``train``'s checkpoint shares no memory with its input or between its
+    own tensors, although training ran on views of one buffer."""
+    ckpt = small_ckpt(seed=2)
+    corpus = make_corpus(np.random.default_rng(13), ALPHABET, n=5)
+    schedule = TrainSchedule(peak_lr=1e-2, batch_size=2, max_epochs=2)
+    final, _ = train(ckpt, corpus, schedule, seed=1)
+    assert final.params.keys() == ckpt.params.keys()
+    for (ka, a), (kb, b) in itertools.product(final.params.items(), repeat=2):
+        assert not np.shares_memory(a, ckpt.params[kb])
+        assert ka == kb or not np.shares_memory(a, b)
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(final, path)
+    assert same_checkpoint(load_checkpoint(path), final)
 
 
 def test_noam_peak_at_warmup():
