@@ -16,7 +16,8 @@ both ways and leaves on each grid its labels, log marginal and state
 occupancy; ``ctc_grad`` and ``ctc_loss`` with the same labels read them
 instead of running the lattice again, so a training utterance costs one
 share of one pass. A grid's rows must therefore not change after it is made:
-``log_probs`` is a read-only view.
+``log_probs`` is a read-only view. Labels are checked where they come in, by
+``ctc_loss``, ``ctc_grad`` and ``model._checked``; a group's set-up trusts them.
 """
 
 from __future__ import annotations
@@ -155,12 +156,12 @@ def _group_pass(log_probs, label_seqs, occupancy=False):
     to a -inf appended to them. Beta is alpha of the time- and
     state-reversed lattice, reversed back: the reversed lattices follow the
     forward ones in the row, state s of each in its state S-1-s, and skip
-    by the forward rule applied to the reversed states.
+    by the forward rule applied to the reversed states. The labels are not
+    checked here: each sequence must pass ``_check_labels`` for its grid.
     """
     lattices, states, base, first = [], [], 0, 2
     for u, (lp, labels) in enumerate(zip(log_probs, label_seqs)):
         t, v = lp.shape
-        labels = _check_labels(t, v, labels)
         s = 2 * len(labels) + 1
         # two pads, then the interleaved states
         row = [BLANK_ID] * (s + 2)
@@ -221,6 +222,7 @@ def ctc_loss(grid, labels):
     labels = tuple(labels)
     if grid._lattice is not None and grid._lattice[0] == labels:
         return float(-grid._lattice[1])
+    _check_labels(grid.num_frames, grid.num_labels, labels)
     (marginal,), _ = _group_pass([grid.log_probs], [labels])
     return float(-marginal)
 
@@ -235,6 +237,7 @@ def ctc_grad(grid, labels):
     """
     labels = tuple(labels)
     if grid._lattice is None or grid._lattice[0] != labels:
+        _check_labels(grid.num_frames, grid.num_labels, labels)
         _lattice_pass([grid], [labels])
     return np.exp(grid.log_probs) - grid._lattice[2]
 

@@ -104,9 +104,13 @@ class ExperimentConfig:
         return self.mode == "crosslingual_ft" and self.init_mode != "scratch"
 
 
-# WARD divides by 100 minus the baseline WER; a higher baseline is scored
-# as this cap, and run_experiment records that it was
 WARD_BASELINE_CAP = 99.999
+
+
+def _capped_ward(after, before):
+    """WARD of ``after`` against the baseline WER ``before``, which WARD
+    subtracts from 100 and so is capped at WARD_BASELINE_CAP."""
+    return ward(after, min(before, WARD_BASELINE_CAP))
 
 
 class ConfigError(ValueError):
@@ -305,7 +309,7 @@ class Pipeline:
                         bpe=None):
         before = self.avg_seen_wer(pretrained, supervision, bpe)
         after = self.avg_seen_wer(ft_ckpt, supervision, bpe)
-        return ward(after, min(before, WARD_BASELINE_CAP)), before, after
+        return _capped_ward(after, before), before, after
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +323,8 @@ def run_experiment(world, config, base=None):
     has loaded it. A language code the world lacks, or no ``ft_language``
     and no unseen language to finetune on, raises ``WorldError``, and a
     checkpoint that cannot be loaded its error, before any work.
+    Every mode is one loop of trainings, each scored once trained;
+    ``forgetting_eval`` decodes ``base``'s seen-language WER once, before it.
     ``ConfigError`` names a field the world or the checkpoint rejects: a
     ``pretrained_path`` checkpoint whose ``input_dim`` is not the world's
     ``feature_dim``, an ``encoder`` other than the finetuned checkpoint's,
@@ -367,7 +373,6 @@ def run_experiment(world, config, base=None):
             if fails:
                 record(code, scale, split, "decode_failures", fails)
 
-    sched = dict(config.schedule)
     bpe = None
     if config.supervision == "subword":
         try:
@@ -375,54 +380,45 @@ def run_experiment(world, config, base=None):
         except VocabSizeError as err:  # the world sets its floor
             raise ConfigError(f"bpe_vocab_size: {err}") from err
         bpe.save(out_dir / "bpe.model")
-    train_new = partial(pipe.train_languages, seed=config.seed,
-                        supervision=config.supervision, bpe=bpe, **sched)
     codes = list(config.languages) or world.seen_codes
     if config.mode == "monolingual":
-        for code in codes:
-            final, history = train_new([code])
-            histories.append((code, "full", history))
-            score(final, code, "full")
+        trainings = [([code], None) for code in codes]
     elif config.mode == "multilingual":
-        final, history = train_new(codes)
-        histories.append((codes[0], "full", history))
-        for code in codes:
-            score(final, code, "full")
-        save_checkpoint(
-            final, out_dir / f"multilingual_{config.supervision}.ckpt"
-        )
-    else:  # crosslingual_ft
-        code = ft_code
-        scales = list(config.ft_data_scales) or [0]
-        ft_alphabet = None
-        if config.supervision == "phoneme" and config.forgetting_eval:
+        trainings = [(codes, None)]
+    else:
+        trainings = [([ft_code], None if scale in (0, "all") else int(scale))
+                     for scale in config.ft_data_scales or [0]]
+    ft_alphabet = None
+    if config.forgetting_eval:
+        before = pipe.avg_seen_wer(base, config.supervision, bpe)
+        if config.supervision == "phoneme":
             # union alphabet keeps the seen languages decodable after FT
-            units = set(base.alphabet.units[1:]) | set(
-                world.languages[code].inventory.units
-            )
-            ft_alphabet = make_alphabet(units)
-        for scale in scales:
-            n = None if scale in (0, "all") else int(scale)
-            label = "full" if n is None else str(n)
-            if base is None:
-                final, history = train_new([code], limit=n)
-            else:
-                final, history = pipe.finetune(
-                    base, code, config.seed, n_utts=n, mode=config.init_mode,
-                    supervision=config.supervision, bpe=bpe,
-                    alphabet=ft_alphabet, **sched
-                )
-            histories.append((code, label, history))
+            ft_alphabet = make_alphabet(set(base.alphabet.units[1:]) | set(
+                world.languages[ft_code].inventory.units))
+    for langs, limit in trainings:
+        label = "full" if limit is None else str(limit)
+        if config.finetunes:
+            final, history = pipe.finetune(
+                base, ft_code, config.seed, n_utts=limit, mode=config.init_mode,
+                supervision=config.supervision, bpe=bpe, alphabet=ft_alphabet,
+                **config.schedule)
+        else:
+            final, history = pipe.train_languages(
+                langs, config.seed, config.supervision, bpe, limit=limit,
+                **config.schedule)
+        histories.append((langs[0], label, history))
+        for code in langs:
             score(final, code, label)
-            if config.forgetting_eval:
-                w, before, after = pipe.forgetting_ward(
-                    base, final, supervision=config.supervision, bpe=bpe
-                )
-                record(code, label, "test", "ward", w)
-                record(code, label, "test", "seen_wer_before", before)
-                record(code, label, "test", "seen_wer_after", after)
-                if before > WARD_BASELINE_CAP:
-                    record(code, label, "test", "ward_baseline_clamped", 1)
+        if config.forgetting_eval:
+            after = pipe.avg_seen_wer(final, config.supervision, bpe)
+            record(ft_code, label, "test", "ward", _capped_ward(after, before))
+            record(ft_code, label, "test", "seen_wer_before", before)
+            record(ft_code, label, "test", "seen_wer_after", after)
+            if before > WARD_BASELINE_CAP:
+                record(ft_code, label, "test", "ward_baseline_clamped", 1)
+    if config.mode == "multilingual":
+        save_checkpoint(final,
+                        out_dir / f"multilingual_{config.supervision}.ckpt")
 
     _write_outputs(out_dir, histories, report)
     return report

@@ -19,7 +19,7 @@ import numpy as np
 from . import check_field_types
 from .ctc import (InfeasibleAlignmentError, PosteriorGrid, _check_labels,
                   _group_pass, _lattice_pass, _softmax_grids, ctc_grad,
-                  ctc_loss, log_softmax, min_frames)
+                  ctc_loss, log_softmax)
 from .featio import read_arrays, write_arrays
 from .inventory import Alphabet
 
@@ -314,38 +314,45 @@ def _block_backward(p, dh, name, block_cache, ln_cache, grads):
     return dres + da @ p[f"{name}.w1"]
 
 
-def evaluate_loss(ckpt, corpus):
-    """Mean frame-normalized CTC loss over a corpus (no dropout).
-
-    The utterances CTC can align run as ``_groups``, each through one
-    log-softmax and one alpha-only lattice pass; an utterance it cannot
-    align is skipped. Each utterance still encodes alone, as in ``forward``:
-    BLAS may round a stacked product otherwise. So each loss has the bits
-    that ``forward`` and then ``ctc_loss`` give it, and the losses are
-    summed in corpus order. The errors are theirs too, save that a feature
-    or label error anywhere comes before any non-finite logits.
-    """
-    xs, label_seqs, frames = [], [], []
+def _checked(ckpt, corpus):
+    """The (features, label list) pairs and output frames of the utterances
+    of ``corpus`` that CTC can align, and how many it cannot. The first
+    feature or label error raises what ``forward`` or ``ctc_loss`` would."""
+    usable, frames = [], []
     for x, labels in corpus:
         x = _features(ckpt, x)
         t = subsampled_length(len(x), ckpt.config.subsample_stride)
         try:
-            label_seqs.append(_check_labels(t, len(ckpt.alphabet), labels))
+            usable.append((x, _check_labels(t, len(ckpt.alphabet), labels)))
         except InfeasibleAlignmentError:
             continue
-        xs.append(x)
         frames.append(t)
-    if not xs:
+    return usable, frames, len(corpus) - len(usable)
+
+
+def evaluate_loss(ckpt, corpus):
+    """Mean frame-normalized CTC loss over a corpus (no dropout).
+
+    ``_checked`` picks the utterances CTC can align; they run as
+    ``_groups``, each through one log-softmax and one alpha-only lattice
+    pass. Each utterance still encodes alone, as in ``forward``: BLAS may
+    round a stacked product otherwise. So each loss has the bits that
+    ``forward`` and then ``ctc_loss`` give it, and the losses are summed in
+    corpus order. The errors are theirs too, save that a feature or label
+    error anywhere comes before any non-finite logits.
+    """
+    usable, frames, _ = _checked(ckpt, corpus)
+    if not usable:
         raise ValueError("no feasible utterance in corpus")
     total = 0.0
-    for group in _groups(range(len(xs)), frames, 4 * ckpt.config.hidden_dim):
-        logits = np.concatenate([_logits(ckpt, xs[i]) for i in group])
+    for group in _groups(range(len(usable)), frames, 4 * ckpt.config.hidden_dim):
+        logits = np.concatenate([_logits(ckpt, usable[i][0]) for i in group])
         grids = _softmax_grids(logits, [frames[i] for i in group])
         marginals, _ = _group_pass([g.log_probs for g in grids],
-                                   [label_seqs[i] for i in group])
+                                   [usable[i][1] for i in group])
         for i, marginal in zip(group, marginals):
             total += float(-marginal) / frames[i]
-    return total / len(xs)
+    return total / len(usable)
 
 
 def train(ckpt, corpus, schedule, seed, val_corpus=None):
@@ -360,9 +367,11 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     epoch's validation loss is ``evaluate_loss``, whose groups share the
     bound but encode each utterance alone.
 
-    Warmup is ``schedule.warmup_steps(len(corpus))``, CTC-infeasible
-    utterances counted, and the step count goes on from the checkpoint's
-    ``step``, so a finetune inherits its pretraining's place in the schedule.
+    The corpus is ``_checked`` once, before any step, so its errors are
+    validation's. Warmup is ``schedule.warmup_steps(len(corpus))``,
+    CTC-infeasible utterances counted, and the step count goes on from the
+    checkpoint's ``step``, so a finetune inherits its pretraining's place in
+    the schedule.
 
     Returns (final checkpoint, history). History holds per-epoch train and
     validation losses, the number of utterances skipped as CTC-infeasible,
@@ -376,16 +385,7 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     rng = np.random.default_rng(seed)
     dropout_rng = np.random.default_rng(rng.integers(2**63))
 
-    usable, frames = [], []
-    skipped = 0
-    for x, labels in corpus:
-        x = np.asarray(x, dtype=np.float64)
-        t_out = subsampled_length(x.shape[0], cfg.subsample_stride)
-        if t_out < min_frames(labels):
-            skipped += 1
-            continue
-        usable.append((x, list(labels)))
-        frames.append(t_out)
+    usable, frames, skipped = _checked(ckpt, corpus)
     if not usable:
         raise ValueError("every utterance is CTC-infeasible")
 

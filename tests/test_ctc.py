@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -260,6 +261,29 @@ def test_label_validation():
         ctc_loss(grid, [0])
     with pytest.raises(IndexError):
         ctc_loss(grid, [5])
+
+
+@pytest.mark.parametrize("labels, error", [
+    ([1, 0], ValueError), ([1, 3], IndexError),
+    ([1, 2, 1], InfeasibleAlignmentError), ([2, 2], InfeasibleAlignmentError),
+], ids=["blank", "outside", "too-long", "repeat"])
+@pytest.mark.parametrize("grid_state", ["fresh", "passed"])
+def test_grad_label_validation(labels, error, grid_state):
+    """ctc_grad raises what ctc_loss raises before it runs a lattice, so a
+    rejected call leaves the last pass's result on the grid."""
+    grid = support.random_grid(np.random.default_rng(8), 2, 3)
+    with pytest.raises(error) as want:
+        ctc_loss(support.random_grid(np.random.default_rng(8), 2, 3), labels)
+    if grid_state == "passed":
+        want_grad = ctc_grad(grid, [2, 1])
+        last = grid._lattice
+    with pytest.raises(error, match=re.escape(str(want.value))):
+        ctc_grad(grid, labels)
+    if grid_state == "passed":
+        assert grid._lattice is last
+        assert np.array_equal(ctc_grad(grid, [2, 1]), want_grad)
+    else:
+        assert grid._lattice is None
 
 
 def test_infeasible_alignment():

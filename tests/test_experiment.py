@@ -199,23 +199,37 @@ def test_history_reports_skipped_utterances(world, tmp_path):
     assert {row["skipped_infeasible"] for row in hist} == {str(skipped)}
 
 
-def test_crosslingual_scales_and_forgetting(world, tmp_path):
+def test_crosslingual_scales_and_forgetting(world, tmp_path, monkeypatch):
+    """Each scale is scored and its forgetting is what ``forgetting_ward``
+    gives its finetuned model, but the base model is decoded once."""
     pipe = Pipeline(world, encoder=TINY_ENC, lm_order=2)
     base, _ = pipe.train_multilingual_phoneme(0, **TINY_SCHED)
     base_path = tmp_path / "base.ckpt"
     save_checkpoint(base, base_path)
     config = ExperimentConfig(
-        mode="crosslingual_ft", ft_language="u1", ft_data_scales=(4, 0),
+        mode="crosslingual_ft", ft_language="u1", ft_data_scales=(4, 6, 0),
         pretrained_path=str(base_path), seed=0, encoder=TINY_ENC,
         schedule=TINY_SCHED, lm_order=2, forgetting_eval=True,
         output_dir=str(tmp_path / "ft"),
     )
+    finetuned, decoded = [], []
+    finetune, avg_seen_wer = Pipeline.finetune, Pipeline.avg_seen_wer
+    monkeypatch.setattr(Pipeline, "finetune", lambda *args, **kw: (
+        finetuned.append(finetune(*args, **kw)) or finetuned[-1]))
+    monkeypatch.setattr(Pipeline, "avg_seen_wer", lambda *args, **kw: (
+        decoded.append(args[1]) or avg_seen_wer(*args, **kw)))
     report = run_experiment(world, config)
+    monkeypatch.undo()
+    assert len(decoded) == 4
     rows = report["results"]
     scales = {r["scale"] for r in rows}
-    assert {"4", "full"} <= scales
+    assert {"4", "6", "full"} <= scales
     ward_rows = [r for r in rows if r["metric"] == "ward"]
-    assert {r["scale"] for r in ward_rows} == {"4", "full"}
+    assert [r["scale"] for r in ward_rows] == ["4", "6", "full"]
+    for scale, (final, _) in zip(["4", "6", "full"], finetuned):
+        got = {r["metric"]: r["value"] for r in rows if r["scale"] == scale}
+        assert (got["ward"], got["seen_wer_before"], got["seen_wer_after"]) == (
+            pipe.forgetting_ward(base, final))
     before = [r for r in rows if r["metric"] == "seen_wer_before"]
     assert before and 0 <= before[0]["value"] <= 100
     clamped = [r for r in rows if r["metric"] == "ward_baseline_clamped"]

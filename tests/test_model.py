@@ -116,7 +116,7 @@ def test_training_step_on_nan_feature_raises():
     with pytest.raises(ValueError, match="normalized"):
         loss_and_grads(small_ckpt(), corpus[2][0], corpus[2][1])
     schedule = TrainSchedule(peak_lr=3e-3, batch_size=2, max_epochs=1)
-    with pytest.raises(ValueError, match="normalized"):
+    with pytest.raises(ValueError, match="non-finite feature values"):
         train(small_ckpt(), corpus, schedule, seed=0)
 
 
@@ -275,16 +275,8 @@ def test_evaluate_loss_equals_per_utterance_reference(data):
     assert evaluate_loss(ckpt, corpus) == want
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("damage, error", [
-    ("width", ValueError), ("nan-feature", ValueError),
-    ("non-finite-logits", FloatingPointError), ("blank-label", ValueError),
-    ("label-outside", IndexError),
-])
-def test_evaluate_loss_raises_what_the_per_utterance_loop_raises(damage,
-                                                                 error):
-    """Each error the per-utterance loop raised, with its message."""
-    ckpt = small_ckpt()
+def damaged_corpus(ckpt, damage):
+    """Six utterances, the fourth of them, or ``ckpt``, with ``damage``."""
     corpus = make_corpus(np.random.default_rng(11), ALPHABET, n=6)
     x, labels = corpus[3]
     if damage == "width":
@@ -299,10 +291,43 @@ def test_evaluate_loss_raises_what_the_per_utterance_loop_raises(damage,
     elif damage == "non-finite-logits":
         ckpt.params["out.w"][1, 0] = np.inf
     corpus[3] = (x, labels)
+    return corpus
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("damage, error", [
+    ("width", ValueError), ("nan-feature", ValueError),
+    ("non-finite-logits", FloatingPointError), ("blank-label", ValueError),
+    ("label-outside", IndexError),
+])
+def test_evaluate_loss_raises_what_the_per_utterance_loop_raises(damage,
+                                                                 error):
+    """Each error the per-utterance loop raised, with its message."""
+    ckpt = small_ckpt()
+    corpus = damaged_corpus(ckpt, damage)
     with pytest.raises(error) as want:
         support.evaluate_loss_reference(ckpt, corpus)
     with pytest.raises(error, match=re.escape(str(want.value))):
         evaluate_loss(ckpt, corpus)
+
+
+@pytest.mark.parametrize("damage", ["width", "nan-feature", "blank-label",
+                                    "label-outside"])
+def test_train_raises_what_evaluate_loss_raises(monkeypatch, damage):
+    """Training checks its corpus as validation does, once, before any
+    step: each feature or label error, with validation's message."""
+    ckpt = small_ckpt()
+    corpus = damaged_corpus(ckpt, damage)
+    with pytest.raises((ValueError, IndexError)) as want:
+        evaluate_loss(ckpt, corpus)
+    steps = []
+    step = model._group_step
+    monkeypatch.setattr(model, "_group_step",
+                        lambda *args, **kw: steps.append(1) or step(*args, **kw))
+    schedule = TrainSchedule(peak_lr=3e-3, batch_size=2, max_epochs=1)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        train(ckpt, corpus, schedule, seed=0)
+    assert not steps
 
 
 def test_tracer_counts_one_grad_and_one_loss_per_utterance_step(monkeypatch):
@@ -364,9 +389,11 @@ def test_training_skips_infeasible():
     rng = np.random.default_rng(5)
     corpus = make_corpus(rng, ALPHABET, n=4)
     corpus.append((rng.normal(size=(2, 4)), [1, 2, 3, 1, 2, 3]))
+    # no frame, no label: a lattice needs a frame, as in validation
+    corpus.append((np.zeros((0, 4)), []))
     schedule = TrainSchedule(peak_lr=3e-3, batch_size=8, max_epochs=1)
     _, history = train(small_ckpt(), corpus, schedule, seed=0)
-    assert history["skipped_infeasible"] == 1
+    assert history["skipped_infeasible"] == 2
 
 
 def test_early_stopping_and_convergence_epoch():
