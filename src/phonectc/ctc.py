@@ -193,6 +193,7 @@ def _group_pass(log_probs, label_seqs, occupancy=False):
         states = np.concatenate((states, states[mirror]))
         pos = np.concatenate((pos, pos))
     rows = flat[index]
+    del index
     # a lattice starts in its first blank or its first label
     rows[0, pos >= 2] = NEG_INF
     mask = np.full(len(pos), NEG_INF)
@@ -207,7 +208,11 @@ def _group_pass(log_probs, label_seqs, occupancy=False):
     # alpha and beta both include the frame-t emission; divide it out once,
     # and 0 where there is none, whose -inf gamma lands past the grids
     flat[-1] = 0.0
-    gamma = rows[:, :width] + rows[:, width:].ravel()[back]
+    # gathered beta plus alpha (the bits of alpha plus beta) needs no third
+    # array; what only the gather needed goes before the next allocation
+    gamma = rows[:, width:].ravel()[back]
+    gamma += rows[:, :width]
+    del back, rows
     gamma -= flat[ahead]
     gamma -= marginals[cols[5]]
     np.exp(gamma, out=gamma)

@@ -13,6 +13,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,10 @@ FORMAT = 2  # checkpoint layout number in the header; the PCTC files were 1
 LN_EPS = 1e-5
 # Most rows x 4 hidden_dim elements a training group's block activations
 # hold; an utterance over it is a group alone. Groups bound peak memory:
-# here a desk minibatch is one or two groups, for under 3% more peak RSS
-# than at 4096 (BENCH_24.json's budget curve, 4096 to 32768).
-GROUP_ELEMENTS = 16384
+# of BENCH_26.json's curve (16384 to 65536), this is the largest budget
+# whose long-utterance benchmark reads under 5% more peak RSS than 16384
+# did before steps freed their spent rows. A desk minibatch is one group.
+GROUP_ELEMENTS = 49152
 
 
 @dataclass(frozen=True)
@@ -144,20 +146,25 @@ def _conv_forward(xs, w, b, stride):
     xp = np.zeros((sum((t - 1) * stride + k for t in frames), input_dim))
     starts, lo = [], 0
     for x, t in zip(xs, frames):
-        xp[lo : lo + len(x)] = x
+        span = (t - 1) * stride + k
+        # a stride over the kernel leaves frames past the span that no
+        # window reads
+        xp[lo : lo + min(len(x), span)] = x[:span]
         starts.append(lo + stride * np.arange(t))
-        lo += (t - 1) * stride + k
-    # windows: (rows, K, input_dim)
+        lo += span
+    # windows: (rows, K, input_dim), whose rows, K * input_dim values end
+    # to end, meet the kernel laid out as (K * input_dim, d) in one product
     idx = np.concatenate(starts)[:, None] + np.arange(k)[None, :]
-    out = np.einsum("tki,dik->td", xp[idx], w) + b
-    return out, (xp, idx)
+    win = xp[idx]
+    out = win.reshape(len(win), -1) @ w.transpose(2, 1, 0).reshape(-1, d)
+    out += b
+    return out, win
 
 
-def _conv_backward(dout, cache):
-    xp, idx = cache
-    dw = np.einsum("td,tki->dik", dout, xp[idx])
-    db = dout.sum(axis=0)
-    return dw, db
+def _conv_backward(dout, win):
+    rows, k, input_dim = win.shape
+    dw = win.reshape(rows, -1).T @ dout
+    return dw.reshape(k, input_dim, -1).transpose(2, 1, 0), dout.sum(axis=0)
 
 
 def _layernorm_forward(x, g, b):
@@ -304,20 +311,32 @@ def _block_backward(p, dh, name, block_cache, ln_cache, grads):
         dh, p[f"{name}.ln.g"], ln_cache)
     grads[f"{name}.w2"] = dres.T @ r
     grads[f"{name}.b2"] = dres.sum(axis=0)
-    da = dres @ p[f"{name}.w2"]
+    # r > 0 exactly where the pre-activation is and the mask keeps it; r is
+    # spent once that is taken, so its gradient is written into it
+    keep = r > 0
+    da = np.matmul(dres, p[f"{name}.w2"], out=r)
     if mask is not None:
         da *= mask
-    # r > 0 exactly where the pre-activation is and the mask keeps it
-    da *= r > 0
+    da *= keep
     grads[f"{name}.w1"] = da.T @ h_in
     grads[f"{name}.b1"] = da.sum(axis=0)
     return dres + da @ p[f"{name}.w1"]
 
 
+class _Checked(NamedTuple):
+    """What ``_checked`` keeps of a corpus, which ``evaluate_loss`` takes as
+    it is: the (features, label list) pairs of the utterances CTC can align,
+    their output frames, and how many utterances it skipped."""
+
+    usable: list
+    frames: list
+    skipped: int
+
+
 def _checked(ckpt, corpus):
-    """The (features, label list) pairs and output frames of the utterances
-    of ``corpus`` that CTC can align, and how many it cannot. The first
-    feature or label error raises what ``forward`` or ``ctc_loss`` would."""
+    """The ``_Checked`` utterances of ``corpus``. The first feature or label
+    error raises what ``forward`` or ``ctc_loss`` would, and a corpus with
+    no utterance CTC can align raises a ValueError."""
     usable, frames = [], []
     for x, labels in corpus:
         x = _features(ckpt, x)
@@ -327,23 +346,25 @@ def _checked(ckpt, corpus):
         except InfeasibleAlignmentError:
             continue
         frames.append(t)
-    return usable, frames, len(corpus) - len(usable)
+    if not usable:
+        raise ValueError("no utterance in the corpus is CTC-feasible")
+    return _Checked(usable, frames, len(corpus) - len(usable))
 
 
 def evaluate_loss(ckpt, corpus):
     """Mean frame-normalized CTC loss over a corpus (no dropout).
 
-    ``_checked`` picks the utterances CTC can align; they run as
-    ``_groups``, each through one log-softmax and one alpha-only lattice
-    pass. Each utterance still encodes alone, as in ``forward``: BLAS may
-    round a stacked product otherwise. So each loss has the bits that
-    ``forward`` and then ``ctc_loss`` give it, and the losses are summed in
-    corpus order. The errors are theirs too, save that a feature or label
-    error anywhere comes before any non-finite logits.
+    ``_checked`` picks the utterances CTC can align, unless ``corpus`` is
+    what it returned; they run as ``_groups``, each through one log-softmax
+    and one alpha-only lattice pass. Each utterance still encodes alone, as
+    in ``forward``: BLAS may round a stacked product otherwise. So each loss
+    has the bits that ``forward`` and then ``ctc_loss`` give it, and the
+    losses are summed in corpus order. The errors are theirs too, save that
+    a feature or label error anywhere comes before any non-finite logits.
     """
-    usable, frames, _ = _checked(ckpt, corpus)
-    if not usable:
-        raise ValueError("no feasible utterance in corpus")
+    if not isinstance(corpus, _Checked):
+        corpus = _checked(ckpt, corpus)
+    usable, frames, _ = corpus
     total = 0.0
     for group in _groups(range(len(usable)), frames, 4 * ckpt.config.hidden_dim):
         logits = np.concatenate([_logits(ckpt, usable[i][0]) for i in group])
@@ -359,7 +380,7 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     """Adam + Noam-schedule training with early stop and top-k averaging.
 
     A minibatch runs as groups of consecutive utterances that GROUP_ELEMENTS
-    bounds, one or two for a desk minibatch: one encoder pass, lattice pass
+    bounds, one for a desk minibatch: one encoder pass, lattice pass
     and backprop per group over its stacked rows, so parameters differ in
     the last bits from a step per utterance, whose products BLAS rounds
     otherwise. The parameters, Adam's moments and the gradient sum are rows
@@ -367,8 +388,9 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     epoch's validation loss is ``evaluate_loss``, whose groups share the
     bound but encode each utterance alone.
 
-    The corpus is ``_checked`` once, before any step, so its errors are
-    validation's. Warmup is ``schedule.warmup_steps(len(corpus))``,
+    The corpus, and ``val_corpus`` when given, are ``_checked`` once, before
+    any step, so their errors are validation's, and every epoch validates
+    what that kept. Warmup is ``schedule.warmup_steps(len(corpus))``,
     CTC-infeasible utterances counted, and the step count goes on from the
     checkpoint's ``step``, so a finetune inherits its pretraining's place in
     the schedule.
@@ -379,20 +401,18 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
     """
     if not corpus:
         raise ValueError("empty training corpus")
-    if val_corpus is None:
-        val_corpus = corpus
     cfg = ckpt.config
     rng = np.random.default_rng(seed)
     dropout_rng = np.random.default_rng(rng.integers(2**63))
 
-    usable, frames, skipped = _checked(ckpt, corpus)
-    if not usable:
-        raise ValueError("every utterance is CTC-infeasible")
+    usable, frames, skipped = val = _checked(ckpt, corpus)
+    if val_corpus is not None:
+        val = _checked(ckpt, val_corpus)
 
     shapes = {k: p.shape for k, p in ckpt.params.items()}
     # rows: parameters, Adam's two moments, the minibatch gradient, and the
-    # two work rows of _adam_step
-    state = np.zeros((6, sum(p.size for p in ckpt.params.values())))
+    # work row of _adam_step
+    state = np.zeros((5, sum(p.size for p in ckpt.params.values())))
     np.concatenate([p.ravel() for p in ckpt.params.values()], out=state[0])
     live = ModelCheckpoint(cfg, ckpt.alphabet, _views(state[0], shapes))
     acc = _views(state[3], shapes)
@@ -428,7 +448,7 @@ def train(ckpt, corpus, schedule, seed, val_corpus=None):
             _adam_step(state, 1.0 / len(batch),
                        schedule.learning_rate(step, warmup), step, schedule)
         train_loss = epoch_loss / max(1, nutts)
-        val_loss = evaluate_loss(live, val_corpus)
+        val_loss = evaluate_loss(live, val)
         history["epochs"].append(
             {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
         )
@@ -466,9 +486,10 @@ def _views(row, shapes):
 def _adam_step(state, scale, lr, step, schedule):
     """One Adam update, in place, of ``train``'s flat ``state``: parameters,
     first and second moments, the gradient sum, which it scales by
-    ``scale``, and two work rows, so it allocates nothing. Each element
-    sees a per-tensor update's operations in the same order."""
-    p, m, v, g, a, b = state
+    ``scale`` and, once the moments hold it, overwrites, and a work row, so
+    it allocates nothing. Each element sees a per-tensor update's
+    operations in the same order."""
+    p, m, v, g, a = state
     b1, b2 = schedule.adam_beta1, schedule.adam_beta2
     g *= scale
     m *= b1
@@ -477,11 +498,11 @@ def _adam_step(state, scale, lr, step, schedule):
     np.multiply(g, 1 - b2, out=a)
     v += np.multiply(a, g, out=a)
     np.divide(m, 1 - b1**step, out=a)  # mhat
-    np.divide(v, 1 - b2**step, out=b)  # vhat
-    np.sqrt(b, out=b)
-    b += schedule.adam_eps
+    np.divide(v, 1 - b2**step, out=g)  # vhat
+    np.sqrt(g, out=g)
+    g += schedule.adam_eps
     a *= lr
-    p -= np.divide(a, b, out=a)
+    p -= np.divide(a, g, out=a)
 
 
 def transfer_init(pretrained, target_alphabet, mode, seed):

@@ -177,8 +177,10 @@ def _encode_reference(ckpt, x, dropout_rng=None):
     xp[: len(x)] = x
     idx = (np.arange(t_out)[:, None] * cfg.subsample_stride
            + np.arange(k)[None, :])
-    h = np.einsum("tki,dik->td", xp[idx], p["conv.w"]) + p["conv.b"]
-    caches = [(xp, idx)]
+    win = xp[idx].reshape(t_out, k * input_dim)
+    kernel = p["conv.w"].transpose(2, 1, 0).reshape(k * input_dim, -1)
+    h = win @ kernel + p["conv.b"]
+    caches = [(win, k)]
     for i in range(cfg.num_blocks):
         a = h @ p[f"block{i}.w1"].T + p[f"block{i}.b1"]
         r = np.maximum(a, 0.0)
@@ -210,8 +212,9 @@ def _backward_reference(ckpt, h, caches, dlogits):
         grads[f"{name}.w1"] = da.T @ h_in
         grads[f"{name}.b1"] = da.sum(axis=0)
         dh = dres + da @ p[f"{name}.w1"]
-    xp, idx = caches[0]
-    grads["conv.w"] = np.einsum("td,tki->dik", dh, xp[idx])
+    win, k = caches[0]
+    dw = win.T @ dh
+    grads["conv.w"] = dw.reshape(k, -1, dw.shape[1]).transpose(2, 1, 0)
     grads["conv.b"] = dh.sum(axis=0)
     return grads
 
@@ -240,7 +243,7 @@ def evaluate_loss_reference(ckpt, corpus):
             continue
         n += 1
     if n == 0:
-        raise ValueError("no feasible utterance in corpus")
+        raise ValueError("no utterance in the corpus is CTC-feasible")
     return total / n
 
 

@@ -669,12 +669,13 @@ def infeasible_world(tmp_path_factory):
     (["lexicon", "--g2p", "{g2p}", "--words", "{unspellable}", "-o", "{out}"],
      "{unspellable}"),
     (["train", "--world", "{infeasible}", "--language", "s1", "-o", "{out}"],
-     "{infeasible}: every utterance is CTC-infeasible"),
+     "{infeasible}: no utterance in the corpus is CTC-feasible"),
     (["finetune", "--world", "{infeasible}", "--pretrained", "{world_ckpt}",
       "--language", "u1", "-o", "{out}"],
-     "{infeasible}: every utterance is CTC-infeasible"),
+     "{infeasible}: no utterance in the corpus is CTC-feasible"),
     (["experiment", "run", "--world", "{infeasible}", "--config", "{config}",
-      "-o", "{out}"], "{infeasible}: every utterance is CTC-infeasible"),
+      "-o", "{out}"],
+     "{infeasible}: no utterance in the corpus is CTC-feasible"),
 ], ids=["lm-train-order", "g2p-nbest", "lexicon-nbest", "tokenizer-train-seed",
         "world-gen-seed", "train-seed", "finetune-seed", "finetune-utterances",
         "finetune-subword-checkpoint", "finetune-narrow-checkpoint",

@@ -108,6 +108,37 @@ def test_model_gradients_match_finite_differences():
             assert got == pytest.approx(fd, abs=1e-5, rel=1e-4), name
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_conv_equals_einsum_over_padded_windows(data):
+    """The convolution's one product, forward and backward, gives the
+    einsum over each utterance's own zero-padded windows: 1-row utterances,
+    a kernel of 1, a stride over the kernel, several utterances stacked."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(1, 4), label="conv_kernel")
+    stride = data.draw(st.integers(1, 6), label="stride")
+    input_dim, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+    lengths = data.draw(st.lists(st.sampled_from([1, 2, 3, 7, 16, 31]),
+                                 min_size=1, max_size=5), label="lengths")
+    xs = [rng.normal(size=(n, input_dim)) for n in lengths]
+    w, b = rng.normal(size=(d, input_dim, k)), rng.normal(size=d)
+    windows = []
+    for x in xs:
+        t = subsampled_length(len(x), stride)
+        xp = np.zeros((t * stride + k, input_dim))
+        xp[: len(x)] = x
+        windows.append(xp[np.arange(t)[:, None] * stride + np.arange(k)])
+    windows = np.concatenate(windows)
+    out, cache = model._conv_forward(xs, w, b, stride)
+    assert out.shape == (len(windows), d)
+    assert within(out, np.einsum("tki,dik->td", windows, w) + b)
+    dout = rng.normal(size=out.shape)
+    dw, db = model._conv_backward(dout, cache)
+    assert dw.shape == w.shape
+    assert within(dw, np.einsum("td,tki->dik", dout, windows))
+    assert np.array_equal(db, dout.sum(axis=0))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_training_step_on_nan_feature_raises():
     rng = np.random.default_rng(6)
@@ -239,6 +270,17 @@ def test_a_desk_minibatch_is_at_most_two_groups():
     assert [i for g in groups for i in g] == list(range(16))
 
 
+def test_a_long_utterance_minibatch_is_four_groups():
+    """At the real budget, 16 utterances of 37 subsampled frames at
+    hidden_dim 64, a long_utts minibatch, make four groups of consecutive
+    utterances (16 at the budget of 16384), and a desk minibatch still
+    makes one or two."""
+    groups = _groups(range(16), [37] * 16, 4 * 64)
+    assert [len(g) for g in groups] == [5, 5, 5, 1]
+    assert [i for g in groups for i in g] == list(range(16))
+    assert 1 <= len(_groups(range(16), [18] * 16, 64)) <= 2
+
+
 def infeasible_labels(frames):
     """Alternating labels one longer than ``frames`` frames can align."""
     return [1 + i % 2 for i in range(frames + 1)]
@@ -268,8 +310,9 @@ def test_evaluate_loss_equals_per_utterance_reference(data):
     try:
         want = support.evaluate_loss_reference(ckpt, corpus)
     except ValueError as err:
-        assert infeasible > 0 and "no feasible utterance" in str(err)
-        with pytest.raises(ValueError, match="no feasible utterance"):
+        message = "no utterance in the corpus is CTC-feasible"
+        assert infeasible > 0 and message in str(err)
+        with pytest.raises(ValueError, match=message):
             evaluate_loss(ckpt, corpus)
         return
     assert evaluate_loss(ckpt, corpus) == want
@@ -396,6 +439,25 @@ def test_training_skips_infeasible():
     assert history["skipped_infeasible"] == 2
 
 
+@pytest.mark.parametrize("with_val", [False, True])
+def test_training_checks_each_corpus_once(monkeypatch, with_val):
+    """A three-epoch training checks its corpus, and its validation corpus
+    when it has one, once each, not once per epoch."""
+    rng = np.random.default_rng(9)
+    corpus = make_corpus(rng, ALPHABET, n=4)
+    val = make_corpus(rng, ALPHABET, n=3) if with_val else None
+    checked = []
+    check = model._checked
+    monkeypatch.setattr(model, "_checked", lambda ckpt, c: checked.append(c)
+                        or check(ckpt, c))
+    schedule = TrainSchedule(peak_lr=3e-3, batch_size=2, max_epochs=3,
+                             early_stop_patience=3)
+    _, history = train(small_ckpt(), corpus, schedule, seed=0, val_corpus=val)
+    assert len(history["epochs"]) == 3
+    want = [corpus, val] if with_val else [corpus]
+    assert list(map(id, checked)) == list(map(id, want))
+
+
 def test_early_stopping_and_convergence_epoch():
     rng = np.random.default_rng(6)
     corpus = make_corpus(rng, ALPHABET, n=6)
@@ -447,14 +509,15 @@ def test_train_equals_per_utterance_reference(monkeypatch, case):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_adam_step_equals_per_tensor_update(data):
-    """One pass over the flat buffer gives every tensor the bits of the
-    per-tensor update, at steps 1, 2 and 287."""
+    """One pass over the flat buffer gives every parameter and moment the
+    bits of the per-tensor update, at steps 1, 2 and 287; the gradient row
+    is spent."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shapes = {f"t{i}": tuple(data.draw(st.lists(st.integers(1, 5),
                                                 min_size=1, max_size=3)))
               for i in range(data.draw(st.integers(1, 4)))}
     schedule = TrainSchedule(adam_beta1=data.draw(st.sampled_from([0.9, 0.5])))
-    state = np.zeros((6, sum(math.prod(s) for s in shapes.values())))
+    state = np.zeros((5, sum(math.prod(s) for s in shapes.values())))
     # parameters, moments (the second never negative) and gradient sums
     want = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in "pmva"]
     want[2] = {k: np.abs(t) for k, t in want[2].items()}
@@ -465,7 +528,7 @@ def test_adam_step_equals_per_tensor_update(data):
     step = data.draw(st.sampled_from([1, 2, 287]))
     model._adam_step(state, scale, lr, step, schedule)
     support.adam_reference(*want, scale, lr, step, schedule)
-    for row, tensors in zip(state, want):
+    for row, tensors in zip(state, want[:3]):
         flat = np.concatenate([t.ravel() for t in tensors.values()])
         assert flat.tobytes() == row.tobytes()
 
