@@ -415,30 +415,20 @@ def train(world_dir, language, supervision, bpe_vocab_size, seed, out):
 @click.option("-o", "--out", required=True, help="Output checkpoint.")
 def finetune(world_dir, pretrained_path, language, mode, utterances, seed, out):
     """Finetune a pretrained model on a target language with embedding transfer."""
-    from .experiment import Pipeline
+    from .experiment import ConfigError, Pipeline
     from .model import load_checkpoint, save_checkpoint
     from .world import load_world
 
     pipe = Pipeline(_load(load_world, world_dir))
     _check_codes(pipe.world, [language])
     base = _load(load_checkpoint, pretrained_path)
-    feature_dim = pipe.world.config.feature_dim
-    if base.config.input_dim != feature_dim:
-        raise click.UsageError(
-            f"--pretrained {pretrained_path}: input_dim "
-            f"{base.config.input_dim}, but {world_dir} has {feature_dim}-dim "
-            "features")
-    if mode == "copy_shared" and base.alphabet.kind != "phoneme":
-        raise click.UsageError(
-            f"--pretrained {pretrained_path}: a {base.alphabet.kind} "
-            "checkpoint; finetune trains onto the phoneme alphabet, where "
-            "--mode copy_shared needs a phoneme checkpoint (subword "
-            "finetuning runs through `experiment run`)")
     n = utterances or None
-    try:  # every utterance CTC-infeasible, or none to train on
+    try:  # a checkpoint that cannot seed the run, or no utterance to train on
         ckpt, history = pipe.finetune(base, language, seed, n_utts=n, mode=mode)
     except ValueError as err:
-        raise click.UsageError(f"{world_dir}: {err}") from err
+        culprit = (f"--pretrained {pretrained_path}"
+                   if isinstance(err, ConfigError) else world_dir)
+        raise click.UsageError(f"{culprit}: {err}") from err
     _write(partial(save_checkpoint, ckpt), out)
     click.echo(f"epochs={history['epochs'][-1]['epoch']}")
 
@@ -555,8 +545,7 @@ def experiment_run(world_dir, config_path, out):
     if out:
         config = replace(config, output_dir=out)
     world = _load(load_world, world_dir)
-    # a bad language code or checkpoint leaves no output directory behind
-    _check_codes(world, [*config.languages, *filter(None, [config.ft_language])])
+    # a checkpoint that cannot be read leaves no output directory behind
     base = _load(load_checkpoint, config.pretrained_path) if config.finetunes else None
     made = not Path(config.output_dir).exists()
     _write(lambda d: Path(d).mkdir(parents=True, exist_ok=True),

@@ -75,7 +75,7 @@ def _read_only(a):
     return view
 
 
-def _softmax_grids(logits, frames, alphabet=None):
+def _softmax_grids(logits, frames, alphabet):
     """The grids of the row-wise ``log_softmax`` of ``logits``, one per run
     of consecutive rows of lengths ``frames``, made without PosteriorGrid's
     re-check of the row sums wherever that check cannot fail.

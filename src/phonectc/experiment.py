@@ -171,7 +171,8 @@ class Pipeline:
                  limit=None):
         """(alphabet, train corpus, dev corpus) pooled over ``codes``. The
         alphabet defaults to their union phoneme inventory, or under subword
-        supervision to the BPE vocabulary."""
+        supervision to the BPE vocabulary; an unknown code is a WorldError."""
+        self.world.check_codes(codes)
         if supervision == "phoneme":
             if alphabet is None:
                 alphabet = self.phoneme_alphabet(codes)
@@ -224,9 +225,22 @@ class Pipeline:
         return (*self.train_languages(self.world.seen_codes, seed, "subword",
                                       bpe, **sched), bpe)
 
+    def check_pretrained(self, ckpt, supervision="phoneme", mode="copy_shared",
+                         forgetting_eval=False):
+        """Raise ConfigError unless ``ckpt`` reads the world's features and has
+        the ``supervision`` kind where copy_shared or forgetting_eval reads it."""
+        width, kind = self.world.config.feature_dim, ckpt.alphabet.kind
+        if ckpt.config.input_dim != width:
+            raise ConfigError(f"input_dim {ckpt.config.input_dim}, but the "
+                              f"world has {width}-dim features")
+        if kind != supervision and (mode == "copy_shared" or forgetting_eval):
+            raise ConfigError(f"a {kind} checkpoint, where the run needs a "
+                              f"{supervision} one")
+
     def finetune(self, pretrained, code, seed, n_utts=None, mode="copy_shared",
                  supervision="phoneme", bpe=None, alphabet=None, **sched):
-        """Transfer-init (or reuse) and finetune on a target language."""
+        """``check_pretrained``, then transfer-init and finetune on ``code``."""
+        self.check_pretrained(pretrained, supervision, mode)
         alphabet, corpus, val = self._corpora(
             [code], supervision, bpe, alphabet, n_utts
         )
@@ -326,10 +340,10 @@ def run_experiment(world, config, base=None):
     Every mode is one loop of trainings, each scored once trained;
     ``forgetting_eval`` decodes ``base``'s seen-language WER once, before it.
     ``ConfigError`` names a field the world or the checkpoint rejects: a
-    ``pretrained_path`` checkpoint whose ``input_dim`` is not the world's
-    ``feature_dim``, an ``encoder`` other than the finetuned checkpoint's,
-    which it keeps (both before any work), or a ``bpe_vocab_size`` below the
-    world's floor."""
+    ``pretrained_path`` checkpoint that ``Pipeline.check_pretrained``
+    rejects, an ``encoder`` other than the finetuned checkpoint's, which it
+    keeps (both before any work), or a ``bpe_vocab_size`` below the world's
+    floor."""
     world.check_codes(
         list(config.languages) + ([config.ft_language] if config.ft_language else [])
     )
@@ -343,11 +357,13 @@ def run_experiment(world, config, base=None):
         world, encoder=config.encoder, lm_order=config.lm_order,
         beam=config.beam, acoustic_scale=config.acoustic_scale,
     )
-    if base is not None and base.config.input_dim != world.config.feature_dim:
-        raise ConfigError(
-            f"pretrained_path: {config.pretrained_path} has input_dim "
-            f"{base.config.input_dim}, but the world has "
-            f"{world.config.feature_dim}-dim features")
+    if base is not None:
+        try:
+            pipe.check_pretrained(base, config.supervision, config.init_mode,
+                                  config.forgetting_eval)
+        except ConfigError as err:
+            raise ConfigError(
+                f"pretrained_path: {config.pretrained_path}: {err}") from err
     if base is not None and config.encoder and pipe.encoder_config != base.config:
         raise ConfigError(
             f"encoder {config.encoder}: a finetune keeps the encoder of its "

@@ -367,10 +367,10 @@ def evaluate_loss(ckpt, corpus):
     usable, frames, _ = corpus
     total = 0.0
     for group in _groups(range(len(usable)), frames, 4 * ckpt.config.hidden_dim):
-        logits = np.concatenate([_logits(ckpt, usable[i][0]) for i in group])
-        grids = _softmax_grids(logits, [frames[i] for i in group])
-        marginals, _ = _group_pass([g.log_probs for g in grids],
-                                   [usable[i][1] for i in group])
+        log_probs = log_softmax(
+            np.concatenate([_logits(ckpt, usable[i][0]) for i in group]))
+        rows = np.split(log_probs, np.cumsum([frames[i] for i in group])[:-1])
+        marginals, _ = _group_pass(rows, [usable[i][1] for i in group])
         for i, marginal in zip(group, marginals):
             total += float(-marginal) / frames[i]
     return total / len(usable)

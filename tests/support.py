@@ -173,8 +173,9 @@ def _encode_reference(ckpt, x, dropout_rng=None):
     p = ckpt.params
     _, input_dim, k = p["conv.w"].shape
     t_out = subsampled_length(len(x), cfg.subsample_stride)
-    xp = np.zeros(((t_out - 1) * cfg.subsample_stride + k, input_dim))
-    xp[: len(x)] = x
+    span = (t_out - 1) * cfg.subsample_stride + k
+    xp = np.zeros((span, input_dim))
+    xp[: min(len(x), span)] = x[:span]
     idx = (np.arange(t_out)[:, None] * cfg.subsample_stride
            + np.arange(k)[None, :])
     win = xp[idx].reshape(t_out, k * input_dim)

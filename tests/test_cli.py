@@ -805,7 +805,9 @@ def test_train_names_the_flag_that_sets_a_vocabulary_too_small(
 # experiment configs that set what the run would otherwise drop: an encoder
 # other than the finetuned checkpoint's, a WARD with no pretrained model, an
 # input width other than the world's, a checkpoint that reads features of
-# another width; each error names the field
+# another width, a checkpoint of another alphabet kind than the supervision
+# where its rows are copied or it is the WARD baseline; each error names the
+# field
 @pytest.mark.parametrize("text, field", [
     ("mode: crosslingual_ft\nft_language: u1\npretrained_path: {ckpt}\n"
      "encoder: {{hidden_dim: 32}}\n", "encoder"),
@@ -815,10 +817,23 @@ def test_train_names_the_flag_that_sets_a_vocabulary_too_small(
     ("mode: monolingual\nencoder: {{input_dim: 80}}\n", "input_dim"),
     ("mode: crosslingual_ft\nft_language: u1\npretrained_path: {narrow}\n",
      "pretrained_path"),
+    ("mode: crosslingual_ft\nft_language: u1\npretrained_path: {subword}\n",
+     "pretrained_path: {subword}: a subword checkpoint, where the run needs "
+     "a phoneme one"),
+    ("mode: crosslingual_ft\nft_language: u1\ninit_mode: random_all\n"
+     "forgetting_eval: true\npretrained_path: {subword}\n",
+     "pretrained_path: {subword}: a subword checkpoint, where the run needs "
+     "a phoneme one"),
+    ("mode: crosslingual_ft\nft_language: u1\nsupervision: subword\n"
+     "pretrained_path: {ckpt}\n",
+     "pretrained_path: {ckpt}: a phoneme checkpoint, where the run needs a "
+     "subword one"),
 ], ids=["finetune-encoder", "scratch-forgetting", "monolingual-forgetting",
-        "input-dim", "narrow-checkpoint"])
+        "input-dim", "narrow-checkpoint", "subword-checkpoint-copy-shared",
+        "subword-checkpoint-forgetting", "phoneme-checkpoint-subword-run"])
 def test_experiment_setting_the_run_would_drop_is_a_one_line_error(
-        runner, world_dir, tmp_path, text, field):
+        runner, world_dir, tmp_path, monkeypatch, text, field):
+    from phonectc.experiment import Pipeline
     from phonectc.inventory import make_alphabet
     from phonectc.model import EncoderConfig, init_checkpoint, save_checkpoint
 
@@ -828,15 +843,27 @@ def test_experiment_setting_the_run_would_drop_is_a_one_line_error(
     narrow = tmp_path / "narrow.ckpt"
     save_checkpoint(init_checkpoint(EncoderConfig(input_dim=4),
                                     make_alphabet({"a", "b"})), narrow)
+    subword = tmp_path / "subword.ckpt"
+    save_checkpoint(init_checkpoint(
+        EncoderConfig(), make_alphabet({"a", "ab"}, kind="subword")), subword)
+    paths = dict(ckpt=ckpt, narrow=narrow, subword=subword)
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text(text.format(ckpt=ckpt, narrow=narrow))
+    cfg.write_text(text.format(**paths))
+
+    def work(*args, **kwargs):  # each row is rejected before any of it
+        raise AssertionError("the run started")
+
+    for name in ("train_bpe_model", "train_languages", "finetune",
+                 "avg_seen_wer"):
+        monkeypatch.setattr(Pipeline, name, work)
     out = tmp_path / "out"
     result = runner.invoke(main, ["experiment", "run", "--world", world_dir,
                                   "--config", str(cfg), "-o", str(out)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     last = result.output.strip().splitlines()[-1]
-    assert last.startswith(f"Error: {cfg}: ") and field in last, last
+    assert last.startswith(f"Error: {cfg}: "), last
+    assert field.format(**paths) in last, last
     if field == "encoder":
         assert str(ckpt) in last
     if field == "pretrained_path":

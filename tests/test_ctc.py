@@ -240,8 +240,8 @@ def test_softmax_grids_split_rows_and_check_every_run_when_untrusted():
     assert all(g.alphabet == "A" for g in grids)
     logits[4, 0] = np.inf  # the last run's row is not a distribution
     with pytest.raises(ValueError, match="normalized"):
-        _softmax_grids(logits, [2, 3])
-    assert _softmax_grids(logits[:2], [2])[0].num_frames == 2
+        _softmax_grids(logits, [2, 3], "A")
+    assert _softmax_grids(logits[:2], [2], "A")[0].num_frames == 2
 
 
 def test_single_frame_single_label():

@@ -15,6 +15,7 @@ from phonectc.experiment import (
     Pipeline,
     run_experiment,
 )
+from phonectc.inventory import make_alphabet
 from phonectc.model import (
     EncoderConfig,
     TrainSchedule,
@@ -273,6 +274,48 @@ def test_unknown_language_code_fails_before_any_output(world, tmp_path, field):
     with pytest.raises(ValueError, match=r"'zz'.*s1, s2, u1"):
         run_experiment(world, config)
     assert not out.exists()
+
+
+def test_an_unknown_language_code_is_a_world_error_in_the_pipeline(world):
+    pipe = Pipeline(world, encoder=TINY_ENC)
+    base = init_checkpoint(pipe.encoder_config, pipe.phoneme_alphabet(["s1"]))
+    for call in (lambda: pipe.train_languages(["zz"], 0),
+                 lambda: pipe.finetune(base, "zz", 0)):
+        with pytest.raises(WorldError, match=r"'zz'.*s1, s2, u1"):
+            call()
+
+
+def test_a_checkpoint_that_cannot_seed_the_run_fails_before_any_work(
+        world, monkeypatch):
+    """A checkpoint must read the world's features, and be of the run's
+    alphabet kind where its rows are copied or it is the WARD baseline; a
+    finetune checks that before it builds a corpus."""
+    pipe = Pipeline(world, encoder=TINY_ENC)
+    phoneme = init_checkpoint(pipe.encoder_config, pipe.phoneme_alphabet(["s1"]))
+    subword = init_checkpoint(pipe.encoder_config,
+                              make_alphabet({"a", "ab"}, kind="subword"))
+    narrow = init_checkpoint(EncoderConfig(input_dim=4, **TINY_ENC),
+                             phoneme.alphabet)
+    width = world.config.feature_dim
+    wrong_kind = "a {} checkpoint, where the run needs a {} one"
+    for ckpt, args, message in [
+            (narrow, ("phoneme", "random_all"),
+             f"input_dim 4, but the world has {width}-dim features"),
+            (subword, ("phoneme", "copy_shared"),
+             wrong_kind.format("subword", "phoneme")),
+            (subword, ("phoneme", "random_all", True),
+             wrong_kind.format("subword", "phoneme")),
+            (phoneme, ("subword", "copy_shared"),
+             wrong_kind.format("phoneme", "subword"))]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            pipe.check_pretrained(ckpt, *args)
+    # a random_all finetune keeps no row of another kind
+    pipe.check_pretrained(subword, "phoneme", "random_all")
+    pipe.check_pretrained(phoneme, "subword", "random_all")
+    monkeypatch.setattr(pipe, "_corpora", None)  # calling it is a TypeError
+    for ckpt in (narrow, subword):
+        with pytest.raises(ConfigError):
+            pipe.finetune(ckpt, "u1", 0)
 
 
 def test_scratch_mode_needs_no_checkpoint(world, tmp_path):

@@ -469,13 +469,14 @@ def test_early_stopping_and_convergence_epoch():
 
 
 @pytest.mark.parametrize("case", ["fresh", "step287", "early-stop",
-                                  "dropout", "top-1"])
+                                  "dropout", "top-1", "stride-over-kernel"])
 def test_train_equals_per_utterance_reference(monkeypatch, case):
     """With every utterance a group alone, ``train`` gives the parameters
     and history of two-pass steps summed in minibatch order and a
     per-tensor Adam update: a fresh checkpoint, one at step 287 (whose bias
     correction counts from there), an early stop, dropout in two blocks,
-    and top-1 as well as top-3 averaging."""
+    top-1 as well as top-3 averaging, and a stride of 4 over a kernel of 3,
+    whose windows leave an utterance's last frames unread."""
     monkeypatch.setattr(model, "GROUP_ELEMENTS", 1)
     rng = np.random.default_rng(12)
     corpus = make_corpus(rng, ALPHABET, n=9)
@@ -486,6 +487,9 @@ def test_train_equals_per_utterance_reference(monkeypatch, case):
     if case == "dropout":
         config = EncoderConfig(input_dim=4, hidden_dim=6, num_blocks=2,
                                dropout=0.3)
+    elif case == "stride-over-kernel":
+        config = EncoderConfig(input_dim=4, hidden_dim=6, subsample_stride=4,
+                               conv_kernel=3)
     elif case == "early-stop":
         kw = {"peak_lr": 0.5, "early_stop_patience": 1}
     elif case == "top-1":

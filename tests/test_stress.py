@@ -68,16 +68,18 @@ experiment_configs = st.fixed_dictionaries({
     "mode": st.sampled_from(["monolingual", "multilingual", "crosslingual_ft"]),
     "supervision": st.sampled_from(["phoneme", "subword"]),
     "init_mode": st.sampled_from(["copy_shared", "random_all", "scratch"]),
+    "forgetting_eval": st.booleans(),
     "languages": st.sampled_from([[], ["s1"]]),
     "ft_language": st.sampled_from(["", "s1"]),
     "ft_data_scales": st.lists(st.sampled_from([0, 1, 3, "all"]), max_size=2),
     "bpe_vocab_size": st.sampled_from([3, 12, 40]),
     "lm_order": st.integers(1, 3),
     "beam": st.integers(1, 4),
-    "encoder": st.fixed_dictionaries({
+    # none keeps a finetuned checkpoint's encoder, so a finetune can run
+    "encoder": st.one_of(st.just({}), st.fixed_dictionaries({
         "hidden_dim": st.integers(1, 4),
         "subsample_stride": st.integers(1, 3),
-    }),
+    })),
     "schedule": st.fixed_dictionaries({
         "max_epochs": st.just(1), "batch_size": st.integers(1, 4),
     }),
